@@ -17,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 
 from .families import (
     SplitMix64, cycle, family_graph, gadget_family, hypercube,
@@ -28,7 +29,7 @@ from .forcing import propagate
 from .formats import format_edge_list, from_graph6, parse_edge_list, to_graph6
 from .graph import Graph, components, diameter, from_edge_list, leaves, min_degree
 from .structure import classify_extremes
-from .throttling import throttle, throttle_with_bound
+from .throttling import _completions, throttle, throttle_with_bound
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -184,25 +185,23 @@ def _gadget_instance(seed: int):
 
 
 def _all_graphs_stats(n: int):
-    """Classifier vs brute-force disagreement count over all labeled graphs."""
-    from itertools import combinations
-    from .forcing import _propagate_mask
+    """Classifier vs brute-force disagreement count over all labeled graphs.
 
+    The brute force runs one batch whose lane i is the vertex subset with
+    bit mask i, without a budget: th is the least round r plus the smallest
+    size among the lanes that first complete in round r.
+    """
+    lanes = 1 << n
+    full = (1 << lanes) - 1
+    blue = [sum(1 << i for i in range(lanes) if i >> v & 1) for v in range(n)]
+    by_size = [sum(1 << i for i in range(lanes) if i.bit_count() == t)
+               for t in range(n + 1)]
     pairs = list(combinations(range(n), 2))
     mismatches = 0
     for mask in range(1 << len(pairs)):
         g = from_edge_list(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
-        bits = g.bit_adjacency
-        full = (1 << n) - 1
-        best = None
-        for k in range(n + 1):
-            for comb in combinations(range(n), k):
-                m = 0
-                for v in comb:
-                    m |= 1 << v
-                pt, _ = _propagate_mask(bits, full, m)
-                if pt is not None and (best is None or k + pt < best):
-                    best = k + pt
+        best = min(r + next(t for t, sized in enumerate(by_size) if done & sized)
+                   for r, done in _completions(g.adj, blue, full))
         c = classify_extremes(g)
         if c.value is not None:
             ok = c.value == best

@@ -10,6 +10,7 @@ forcing (and is why rK2 colors itself from an empty initial set).
 from dataclasses import dataclass
 
 from .graph import Graph, ball, leaves
+from .throttling import _completions
 
 __all__ = [
     "OUTCOME_COMPLETED",
@@ -140,14 +141,15 @@ def propagate(g: Graph, initial) -> PropagationTrace:
 
 
 def is_skew_forcing_set(g: Graph, initial) -> bool:
-    """True iff propagation from `initial` colors every vertex."""
+    """True iff propagation from `initial` colors every vertex.
+
+    Runs the solver's bit-sliced kernel with a single lane: bit 0 of each
+    vertex's word is set when the vertex starts blue.
+    """
     blue = frozenset(initial)
     _check_subset(g, blue)
-    mask = 0
-    for v in blue:
-        mask |= 1 << v
-    pt, _ = _propagate_mask(g.bit_adjacency, (1 << g.n) - 1, mask)
-    return pt is not None
+    lane = [int(v in blue) for v in range(g.n)]
+    return any(_completions(g.adj, lane, 1))
 
 
 def verify_ball_cover(g: Graph, initial, trace: PropagationTrace) -> bool:
@@ -164,51 +166,3 @@ def verify_ball_cover(g: Graph, initial, trace: PropagationTrace) -> bool:
     for c in centers:
         covered |= ball(g, c, radius)
     return len(covered) == g.n
-
-
-# Bitmask propagation, shared by the solver and the engine's fast paths.
-# blue/white sets are integers with bit v for vertex v.
-
-def _propagate_mask(bits, full, blue):
-    """Run to completion or stall. Returns (pt or None, final blue mask)."""
-    if blue == full:
-        return 0, blue
-    rounds = 0
-    while True:
-        white = full ^ blue
-        forced = 0
-        for a in bits:
-            w = a & white
-            if w and not (w & (w - 1)):
-                forced |= w
-        if not forced:
-            return None, blue
-        blue |= forced
-        rounds += 1
-        if blue == full:
-            return rounds, blue
-
-
-def _propagate_mask_bounded(bits, full, blue, max_rounds):
-    """Like _propagate_mask but gives up after max_rounds productive rounds.
-
-    Returns the propagation time when the run completes within the budget,
-    else None (stalled or out of budget).
-    """
-    if blue == full:
-        return 0
-    rounds = 0
-    while rounds < max_rounds:
-        white = full ^ blue
-        forced = 0
-        for a in bits:
-            w = a & white
-            if w and not (w & (w - 1)):
-                forced |= w
-        if not forced:
-            return None
-        blue |= forced
-        rounds += 1
-        if blue == full:
-            return rounds
-    return None

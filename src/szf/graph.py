@@ -84,7 +84,8 @@ class Graph:
     def bit_adjacency(self) -> tuple[int, ...]:
         """Neighbor sets as integer bitmasks (bit v set iff v is a neighbor).
 
-        Used by the propagation and search hot paths; the value is cached
+        The propagation kernel does not read it: its integers are indexed
+        by subset, not by vertex, and it walks `adj`. The value is cached
         on first use and is safe to share since the graph is immutable.
         """
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)

@@ -1,20 +1,24 @@
 """Exact skew zero forcing number, propagation time, and throttling search.
 
 The search enumerates initial sets by size k ascending and, within a size,
-by lexicographic order of the sorted id vector. The first optimum found in
-that order is the canonical witness, so results are deterministic and
-schedule independent. Pruning is sound: on a graph with an edge every
-initial set other than V(G) needs at least one round, so sizes k >= best
-are skipped outright and a propagation is abandoned once k plus the rounds
-spent so far reaches the current best (a completion that merely ties the
-best is still allowed to finish, which is what makes the canonical witness
-reachable when the best value came from a seed rather than enumeration).
+in lexicographic order of the sorted id vector; the first optimum in that
+order is the canonical witness. Subsets are propagated in bit-sliced
+batches (Biham, "A fast new DES implementation in software", FSE 1997) that
+are contiguous in that order, so the lowest lane completing in a batch's
+first completing round is the batch's first optimum.
+
+The search starts from best = n, the value of V(G). On a graph with an edge
+every other initial set needs a round, so sizes k >= best are skipped. Sizes
+up to Z-(G) run without a round budget, which also yields pt_minimum; later
+batches get the budget best - k, tightened only between batches. A tie with
+the best counts while there is no witness, so the canonical witness is
+reachable when the best value came from a caller's bound.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from .forcing import _propagate_mask, _propagate_mask_bounded
 from .graph import Graph
 
 __all__ = [
@@ -25,6 +29,8 @@ __all__ = [
     "throttle",
     "throttle_with_bound",
 ]
+
+LANE_CAP = 4096  # most lanes in one batch: bounds the width of each integer
 
 
 @dataclass(frozen=True)
@@ -58,35 +64,122 @@ class ThrottleResult:
         }
 
 
-def _mask_of(comb):
-    m = 0
-    for v in comb:
-        m |= 1 << v
-    return m
+def _completions(adj, blue, full, budget=None):
+    """Propagate every lane of a batch at once.
+
+    adj[v] iterates the neighbours of v; blue[v] has lane i set when v is
+    blue in subset i, and full has every lane set. Yields (round, lanes)
+    for each round in which some lanes first become entirely blue, round 0
+    included. Ends when no lane makes progress or after `budget` productive
+    rounds. The caller's blue list is not modified.
+    """
+    blue = list(blue)
+    done = full
+    for b in blue:
+        done &= b
+    if done:
+        yield 0, done
+    rounds = 0
+    while budget is None or rounds < budget:
+        white = [full ^ b for b in blue]
+        exactly_one = []
+        for nb in adj:
+            # Saturating count of white neighbours: at least one, at least two.
+            ones = twos = 0
+            for w in nb:
+                x = white[w]
+                twos |= ones & x
+                ones |= x
+            exactly_one.append(ones ^ twos)  # twos is a subset of ones
+        progress = 0
+        now = full
+        for v, nb in enumerate(adj):
+            hit = 0
+            for u in nb:
+                hit |= exactly_one[u]
+            forced = white[v] & hit
+            progress |= forced
+            blue[v] |= forced
+            now &= blue[v]
+        if not progress:
+            return
+        rounds += 1
+        if now != done:
+            yield rounds, now ^ done
+            done = now
+
+
+def _lane_words(n, j):
+    """Per-vertex lane words over the j-subsets of range(n) in lexicographic order.
+
+    Built from s = n - 1 down to 0 out of the t-subsets of s..n-1: those
+    containing s come first, then those that do not.
+    """
+    cols = [[0] * n for _ in range(j + 1)]
+    for s in range(n - 1, -1, -1):
+        for t in range(min(j, n - s), 0, -1):
+            first = comb(n - s - 1, t - 1)
+            with_s, without_s = cols[t - 1], cols[t]
+            col = [a | b << first for a, b in zip(with_s, without_s)]
+            col[s] = (1 << first) - 1
+            cols[t] = col
+    return cols[j]
+
+
+class _Batches:
+    """The size-k subsets of one graph's vertices, as bit-sliced batches.
+
+    A batch fixes a (k - j)-prefix and takes every j-subset of the vertices
+    after the prefix as one lane, j being the largest size <= k with
+    C(n, j) <= LANE_CAP. Lane words are built once per j and suffix start.
+    """
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.adj = g.adj
+        self._words = {}
+
+    def first_completions(self, k, budget=lambda: None):
+        """Yield (pt, subset) per size-k batch, in lexicographic order.
+
+        pt is the batch's first completion round and subset its lowest lane
+        completing then; batches that stall or run past budget() rounds
+        yield nothing. budget() is read before each batch.
+        """
+        n = self.n
+        j = max(t for t in range(k + 1) if comb(n, t) <= LANE_CAP)
+        if j not in self._words:
+            # The j-subsets of s..n-1 are the last C(n - s, j) of range(n).
+            base = _lane_words(n, j)
+            self._words[j] = [[w >> (comb(n, j) - comb(n - s, j)) for w in base]
+                              for s in range(n - j + 1)]
+        words = self._words[j]
+        for prefix in combinations(range(n - j), k - j):  # room for j more
+            start = prefix[-1] + 1 if prefix else 0
+            full = (1 << comb(n - start, j)) - 1
+            blue = list(words[start])
+            for v in prefix:
+                blue[v] = full
+            hit = next(_completions(self.adj, blue, full, budget()), None)
+            if hit is not None:
+                pt, lanes = hit
+                lane = (lanes & -lanes).bit_length() - 1
+                yield pt, frozenset(v for v, b in enumerate(blue) if b >> lane & 1)
 
 
 def skew_zero_forcing_number(g: Graph) -> int:
     """Least k such that some size-k set forces the whole graph; may be 0."""
-    bits = g.bit_adjacency
-    full = (1 << g.n) - 1
-    for k in range(g.n + 1):
-        for comb in combinations(range(g.n), k):
-            pt, _ = _propagate_mask(bits, full, _mask_of(comb))
-            if pt is not None:
-                return k
-    raise AssertionError("the full vertex set always forces")
+    batches = _Batches(g)
+    return next(k for k in range(g.n + 1) if any(batches.first_completions(k)))
 
 
 def min_propagation_time(g: Graph) -> int:
     """Minimum propagation time over minimum skew forcing sets."""
     z = skew_zero_forcing_number(g)
-    bits = g.bit_adjacency
-    full = (1 << g.n) - 1
     best = None
-    for comb in combinations(range(g.n), z):
-        pt, _ = _propagate_mask(bits, full, _mask_of(comb))
-        if pt is not None and (best is None or pt < best):
-            best = pt
+    for pt, _ in _Batches(g).first_completions(
+            z, lambda: None if best is None else best - 1):
+        best = pt
     return best
 
 
@@ -97,56 +190,11 @@ def throttling_at_k(g: Graph, k: int) -> int | None:
     """
     if not 0 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
-    bits = g.bit_adjacency
-    full = (1 << g.n) - 1
     best = None
-    for comb in combinations(range(g.n), k):
-        if best is None:
-            pt, _ = _propagate_mask(bits, full, _mask_of(comb))
-        else:
-            pt = _propagate_mask_bounded(bits, full, _mask_of(comb), best - k)
-        if pt is not None and (best is None or k + pt < best):
-            best = k + pt
+    for pt, _ in _Batches(g).first_completions(
+            k, lambda: None if best is None else best - k - 1):
+        best = k + pt
     return best
-
-
-def _greedy_seed(g: Graph):
-    """A cheap valid throttling value and witness used to seed pruning.
-
-    Greedily grows a set, each time adding the vertex that minimizes the
-    number of white vertices left at stall; falls back to V(G) minus the
-    endpoints of the first edge when that beats the greedy value.
-    """
-    bits = g.bit_adjacency
-    n = g.n
-    full = (1 << n) - 1
-    chosen: set[int] = set()
-    mask = 0
-    pt, final = _propagate_mask(bits, full, mask)
-    while pt is None:
-        best_v = -1
-        best_left = None
-        for v in range(n):
-            if mask & (1 << v):
-                continue
-            cand_pt, cand_final = _propagate_mask(bits, full, mask | (1 << v))
-            left = 0 if cand_pt is not None else (full ^ cand_final).bit_count()
-            if best_left is None or left < best_left:
-                best_left = left
-                best_v = v
-        chosen.add(best_v)
-        mask |= 1 << best_v
-        pt, final = _propagate_mask(bits, full, mask)
-    value = len(chosen) + pt
-    witness = frozenset(chosen)
-    for u in range(n):
-        if g.adj[u]:
-            v = min(g.adj[u])
-            if n - 1 < value:
-                value = n - 1
-                witness = frozenset(range(n)) - {u, v}
-            break
-    return value, witness
 
 
 def _edgeless_result(g: Graph) -> ThrottleResult:
@@ -165,28 +213,26 @@ def _search(g: Graph, upper: int | None) -> ThrottleResult:
             raise ValueError(f"bound {upper} is below the optimum {n}")
         return _edgeless_result(g)
 
-    bits = g.bit_adjacency
-    full = (1 << n) - 1
-    best, _seed_witness = _greedy_seed(g)
-    if upper is not None and upper < best:
-        best = upper
+    batches = _Batches(g)
+    best = n if upper is None else min(n, upper)
     witness = None
     observed: dict[int, int] = {}
+    z = ptm = None
 
     k = 0
-    while k < best and k <= n:
-        budget = best - k
-        for comb in combinations(range(n), k):
-            pt = _propagate_mask_bounded(bits, full, _mask_of(comb), budget)
-            if pt is None:
-                continue
+    while k < best:
+        unbounded = z is None
+        for pt, subset in batches.first_completions(
+                k, lambda: None if unbounded else best - k):
+            if unbounded:
+                ptm = pt if ptm is None else min(ptm, pt)
             th = k + pt
-            if k not in observed or th < observed[k]:
-                observed[k] = th
+            observed[k] = min(observed.get(k, th), th)
             if th < best or (th == best and witness is None):
                 best = th
-                witness = frozenset(comb)
-                budget = best - k
+                witness = subset
+        if unbounded and ptm is not None:
+            z = k
         k += 1
 
     if witness is None:
@@ -195,12 +241,6 @@ def _search(g: Graph, upper: int | None) -> ThrottleResult:
 
     per_k = {k: v for k, v in observed.items() if v <= best}
     kw = len(witness)
-    z = skew_zero_forcing_number(g)
-    ptm = None
-    for comb in combinations(range(n), z):
-        pt, _ = _propagate_mask(bits, full, _mask_of(comb))
-        if pt is not None and (ptm is None or pt < ptm):
-            ptm = pt
     return ThrottleResult(
         th=best, witness=witness, k=kw, pt=best - kw,
         per_k=per_k, z_minus=z, pt_minimum=ptm,

@@ -179,3 +179,17 @@ def test_trace_and_bitmask_propagation_agree(n, seed, mask):
     assert trace.pt == reference
     if trace.completed:
         assert verify_ball_cover(g, blue, trace)
+
+
+@given(st.integers(0, 9), st.integers(0, 2 ** 16), st.integers(0, 100), st.data())
+@settings(max_examples=120, deadline=None)
+def test_is_skew_forcing_set_agrees_with_propagate(n, seed, percent, data):
+    g = random_graph(n, seed, percent)
+    initial = data.draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else set()
+    assert is_skew_forcing_set(g, initial) == propagate(g, initial).completed
+
+
+def test_is_skew_forcing_set_rejects_out_of_range_vertices():
+    for bad in ({3}, {-1}, {0, 7}):
+        with pytest.raises(ValueError):
+            is_skew_forcing_set(path(3), bad)

@@ -1,3 +1,5 @@
+from itertools import combinations, groupby
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,10 +8,12 @@ from szf.families import (
     complete, complete_multipartite, corona_k1, cycle, friendship, h_graph,
     hypercube, matching, path, spider, star,
 )
+from szf import throttling
+from szf.forcing import propagate
 from szf.graph import from_edge_list
 from szf.throttling import (
-    min_propagation_time, skew_zero_forcing_number, throttle,
-    throttle_with_bound, throttling_at_k,
+    _Batches, _completions, _lane_words, min_propagation_time,
+    skew_zero_forcing_number, throttle, throttle_with_bound, throttling_at_k,
 )
 
 from helpers import all_graphs, brute_force_table, random_graph
@@ -171,3 +175,96 @@ def test_json_dict_shape():
     assert set(payload) == {"th", "k", "pt", "witness", "per_k", "z_minus", "pt_minimum"}
     assert payload["witness"] == sorted(payload["witness"])
     assert all(isinstance(k, str) for k in payload["per_k"])
+
+
+# ---------------------------------------------------------------------------
+# the bit-sliced batch kernel
+
+# With the real lane cap every graph of order <= 14 fits one batch per size,
+# so small caps are what make budgets tighten between batches and witnesses
+# fall across batch edges. Cap 16 gives prefix batches of 2-subset lanes at
+# n = 6 (C(6, 2) = 15 <= 16 < C(6, 3)).
+SMALL_CAPS = (1, 3, 8, 16)
+
+
+def _assert_every_entry_point_matches(g, table):
+    th, witness, z, ptm, per_k = table
+    r = throttle(g)
+    optimal = {k: v for k, v in per_k.items() if v == th}
+    assert (r.th, r.witness, r.per_k, r.z_minus, r.pt_minimum) == (th, witness, optimal, z, ptm)
+    assert throttle_with_bound(g, th) == r
+    assert [throttling_at_k(g, k) for k in range(g.n + 1)] == [
+        per_k.get(k) for k in range(g.n + 1)]
+    assert skew_zero_forcing_number(g) == z
+    assert min_propagation_time(g) == ptm
+
+
+def test_small_lane_caps_match_brute_force_exhaustively_to_n5():
+    tables = [(g, brute_force_table(g)) for n in range(6) for g in all_graphs(n)]
+    for cap in SMALL_CAPS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(throttling, "LANE_CAP", cap)
+            for g, table in tables:
+                _assert_every_entry_point_matches(g, table)
+
+
+@given(st.integers(5, 7), st.integers(0, 2 ** 16), st.integers(0, 100))
+@settings(max_examples=30, deadline=None)
+def test_small_lane_caps_match_brute_force_on_random_graphs(n, seed, percent):
+    g = random_graph(n, seed, percent)
+    table = brute_force_table(g)
+    for cap in SMALL_CAPS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(throttling, "LANE_CAP", cap)
+            _assert_every_entry_point_matches(g, table)
+
+
+@given(st.integers(1, 9), st.integers(0, 2 ** 16), st.integers(0, 100), st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernel_lanes_match_scalar_propagate(n, seed, percent, data):
+    g = random_graph(n, seed, percent)
+    j = data.draw(st.integers(0, n))
+    subsets = list(combinations(range(n), j))
+    expected = [propagate(g, s).pt for s in subsets]
+    budget = data.draw(st.none() | st.integers(0, n))
+    seen = {}
+    for r, lanes in _completions(g.adj, _lane_words(n, j), (1 << len(subsets)) - 1, budget):
+        for i in range(len(subsets)):
+            if lanes >> i & 1:
+                assert i not in seen
+                seen[i] = r
+    # Lane i is the i-th j-subset in lexicographic order; a lane that stalls
+    # (pt None) never completes, and a budget hides only later completions.
+    assert [seen.get(i) for i in range(len(subsets))] == [
+        pt if pt is not None and (budget is None or pt <= budget) else None
+        for pt in expected]
+
+
+def test_lowest_lane_of_the_first_completing_round_wins():
+    g = cycle(6)
+    subsets = list(combinations(range(6), 2))  # one batch: C(6, 2) lanes
+    pts = [propagate(g, s).pt for s in subsets]
+    best = min(pt for pt in pts if pt is not None)
+    assert pts.count(best) > 1
+    first = subsets[pts.index(best)]
+    assert list(_Batches(g).first_completions(2)) == [(best, frozenset(first))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
+    # Cap 8 on n = 7: C(7, 1) = 7 <= 8 < C(7, 2), so for k = 1..5 each batch
+    # fixes the first k - 1 vertices and takes every later vertex as a lane.
+    monkeypatch.setattr(throttling, "LANE_CAP", 8)
+    g = random_graph(7, seed, 40)
+    batches_reporting = []
+    for k in range(1, 6):
+        expected = []
+        for _, batch in groupby(combinations(range(7), k), key=lambda s: s[:-1]):
+            done = [(propagate(g, s).pt, s) for s in batch]
+            done = [(pt, s) for pt, s in done if pt is not None]
+            if done:
+                pt, s = min(done)
+                expected.append((pt, frozenset(s)))
+        assert list(_Batches(g).first_completions(k)) == expected
+        batches_reporting.append(len(expected))
+    assert max(batches_reporting) > 1
