@@ -105,6 +105,14 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
+def _agrees(c, th: int, n: int) -> bool:
+    """A classification agrees with the solver's th on an order-n graph when
+    its value matches, or, for interior, when th is none of 1, 2, n-1, n."""
+    if c.value is not None:
+        return th == c.value
+    return th not in {1, 2, n - 1, n}
+
+
 def cmd_classify(args) -> int:
     g = _load_graph(args)
     c = classify_extremes(g)
@@ -116,12 +124,8 @@ def cmd_classify(args) -> int:
                   file=sys.stderr)
             return EXIT_RESOURCE
         th = throttle(g).th
-        if c.value is not None:
-            agrees = th == c.value
-        else:
-            agrees = th not in {1, 2, g.n - 1, g.n}
         payload["solver_th"] = th
-        payload["agrees"] = agrees
+        payload["agrees"] = _agrees(c, th, g.n)
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
@@ -202,12 +206,7 @@ def _all_graphs_stats(n: int):
         g = from_edge_list(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
         best = min(r + next(t for t, sized in enumerate(by_size) if done & sized)
                    for r, done in _completions(g.adj, blue, full))
-        c = classify_extremes(g)
-        if c.value is not None:
-            ok = c.value == best
-        else:
-            ok = best not in {1, 2, n - 1, n}
-        if not ok:
+        if not _agrees(classify_extremes(g), best, n):
             mismatches += 1
     return mismatches
 

@@ -408,46 +408,23 @@ def family_graph(spec: str) -> Graph:
     except ValueError:
         raise ValueError(f"non-integer parameter in family spec {spec!r}") from None
 
-    def need(count):
-        if len(args) != count:
-            raise ValueError(f"family {name!r} takes {count} parameter(s), got {len(args)}")
-
-    if name == "path":
-        need(1)
-        return path(args[0])
-    if name == "cycle":
-        need(1)
-        return cycle(args[0])
-    if name == "complete":
-        need(1)
-        return complete(args[0])
-    if name == "empty":
-        need(1)
-        return empty(args[0])
-    if name == "star":
-        need(1)
-        return star(args[0])
-    if name == "matching":
-        need(1)
-        return matching(args[0])
     if name == "complete_multipartite":
         if not args:
             raise ValueError("complete_multipartite needs at least one part")
         return complete_multipartite(args)
-    if name == "hypercube":
-        need(1)
-        return hypercube(args[0])
-    if name == "spider":
-        need(2)
-        return spider(args[0], args[1])
-    if name == "friendship":
-        need(1)
-        return friendship(args[0])
-    if name in ("h", "h_graph"):
-        need(3)
-        return h_graph(args[0], args[1], args[2])
-    if name in ("gadget_cycle", "gadget_path"):
-        need(2)
-        base = "cycle" if name == "gadget_cycle" else "path"
-        return gadget_family(random_gadget_spec(base, args[0], args[1]))
-    raise ValueError(f"unknown family {name!r}")
+    builders = {
+        "path": (1, path), "cycle": (1, cycle), "complete": (1, complete),
+        "empty": (1, empty), "star": (1, star), "matching": (1, matching),
+        "hypercube": (1, hypercube), "friendship": (1, friendship),
+        "spider": (2, spider), "h": (3, h_graph), "h_graph": (3, h_graph),
+        "gadget_cycle": (2, lambda length, seed: gadget_family(
+            random_gadget_spec("cycle", length, seed))),
+        "gadget_path": (2, lambda length, seed: gadget_family(
+            random_gadget_spec("path", length, seed))),
+    }
+    if name not in builders:
+        raise ValueError(f"unknown family {name!r}")
+    arity, build = builders[name]
+    if len(args) != arity:
+        raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(args)}")
+    return build(*args)

@@ -10,7 +10,6 @@ forcing (and is why rK2 colors itself from an empty initial set).
 from dataclasses import dataclass
 
 from .graph import Graph, ball, leaves
-from .throttling import _completions
 
 __all__ = [
     "OUTCOME_COMPLETED",
@@ -141,15 +140,8 @@ def propagate(g: Graph, initial) -> PropagationTrace:
 
 
 def is_skew_forcing_set(g: Graph, initial) -> bool:
-    """True iff propagation from `initial` colors every vertex.
-
-    Runs the solver's bit-sliced kernel with a single lane: bit 0 of each
-    vertex's word is set when the vertex starts blue.
-    """
-    blue = frozenset(initial)
-    _check_subset(g, blue)
-    lane = [int(v in blue) for v in range(g.n)]
-    return any(_completions(g.adj, lane, 1))
+    """True iff propagation from `initial` colors every vertex."""
+    return propagate(g, initial).completed
 
 
 def verify_ball_cover(g: Graph, initial, trace: PropagationTrace) -> bool:

@@ -84,9 +84,10 @@ class Graph:
     def bit_adjacency(self) -> tuple[int, ...]:
         """Neighbor sets as integer bitmasks (bit v set iff v is a neighbor).
 
-        The propagation kernel does not read it: its integers are indexed
-        by subset, not by vertex, and it walks `adj`. The value is cached
-        on first use and is safe to share since the graph is immutable.
+        `structure` reads it for the union-join decomposition and the
+        four-vertex scans. The propagation kernel does not: its integers are
+        indexed by subset, not by vertex, and it walks `adj`. The value is
+        cached on first use and is safe to share since the graph is immutable.
         """
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
 

@@ -1,10 +1,13 @@
 """Structural recognition: cographs, hub graphs, pendant coronas, and the
 classification of graphs whose throttling value is pinned by their shape.
 
-Cograph recognition recurses on components of the graph (union splits) and
-of its complement (join splits); the exhaustive four-vertex scans serve as
-an independent oracle, since a graph is a cograph exactly when it has no
-induced path on four vertices.
+One union-join decomposition decides the cograph shapes: it splits a vertex
+set into the components of the graph (union) or of its complement (join),
+and a graph is a cograph exactly when every set of two or more vertices
+splits. The exhaustive four-vertex scans decide nothing in the classifier;
+they give the induced P4 and 2K2 that `interior` evidence prints, and they
+serve as an independent oracle in tests, since a graph is a cograph exactly
+when it has no induced path on four vertices.
 """
 
 from dataclasses import dataclass
@@ -38,57 +41,72 @@ class CotreeNode:
     right: "CotreeLeaf | CotreeNode"
 
 
-def _subset_components(g, vertices, complement_side):
-    """Components of the subgraph induced by `vertices`, or of its complement."""
-    remaining = set(vertices)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        remaining.discard(start)
-        comp = {start}
-        frontier = [start]
+def _components(rows, vertices):
+    """Components, as bit sets ordered by smallest vertex, of the graph whose
+    neighbor bit sets are `rows`, restricted to the bit set `vertices`."""
+    parts = []
+    while vertices:
+        comp = frontier = vertices & -vertices
         while frontier:
-            v = frontier.pop()
-            if complement_side:
-                reach = {u for u in remaining if u not in g.adj[v]}
-            else:
-                reach = {u for u in remaining if u in g.adj[v]}
-            remaining -= reach
-            comp |= reach
-            frontier.extend(reach)
-        comps.append(sorted(comp))
-    return sorted(comps, key=lambda c: c[0])
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & vertices & ~comp
+            comp |= frontier
+        parts.append(comp)
+        vertices ^= comp
+    return parts
 
 
-def _fold(op, parts):
-    if len(parts) == 1:
-        return parts[0]
-    return CotreeNode(op, parts[0], _fold(op, parts[1:]))
+def _splits(g):
+    """The union-join decomposition of g, top down, as (vertex set, op, parts).
+
+    Vertex sets and parts are bit sets; parts are ordered by smallest vertex,
+    and parts of one vertex are not split further. The walk stops at the
+    first vertex set that neither op splits, recorded with op None and no
+    parts, so g is a cograph iff the last entry has an op.
+    """
+    rows = g.bit_adjacency
+    full = (1 << g.n) - 1
+    co_rows = [full ^ row ^ (1 << v) for v, row in enumerate(rows)]
+    out = []
+    stack = [full] if g.n > 1 else []
+    while stack:
+        vertices = stack.pop()
+        for op, side in (("union", rows), ("join", co_rows)):
+            parts = _components(side, vertices)
+            if len(parts) > 1:
+                break
+        else:
+            out.append((vertices, None, []))
+            break
+        out.append((vertices, op, parts))
+        stack.extend(p for p in reversed(parts) if p.bit_count() > 1)
+    return out
 
 
 def build_cotree(g: Graph):
-    """Union-join decomposition tree, or None when g is not a cograph."""
+    """Union-join decomposition tree, or None when g is not a cograph.
+
+    A node with more than two parts nests to the right:
+    CotreeNode(op, first, CotreeNode(op, second, ...)).
+    """
     if g.n == 0:
         raise ValueError("the empty graph has no decomposition tree")
-
-    def rec(vertices):
-        if len(vertices) == 1:
-            return CotreeLeaf(vertices[0])
-        comps = _subset_components(g, vertices, complement_side=False)
-        if len(comps) > 1:
-            parts = [rec(c) for c in comps]
-            if any(p is None for p in parts):
-                return None
-            return _fold("union", parts)
-        comps = _subset_components(g, vertices, complement_side=True)
-        if len(comps) > 1:
-            parts = [rec(c) for c in comps]
-            if any(p is None for p in parts):
-                return None
-            return _fold("join", parts)
+    splits = _splits(g)
+    if splits and splits[-1][1] is None:
         return None
-
-    return rec(list(range(g.n)))
+    trees = {}
+    for vertices, op, parts in reversed(splits):
+        subtrees = [trees.pop(p) if p.bit_count() > 1 else CotreeLeaf(p.bit_length() - 1)
+                    for p in parts]
+        tree = subtrees.pop()
+        while subtrees:
+            tree = CotreeNode(op, subtrees.pop(), tree)
+        trees[vertices] = tree
+    return trees.get((1 << g.n) - 1, CotreeLeaf(0))
 
 
 def cotree_graph(tree, n: int) -> Graph:
@@ -111,30 +129,27 @@ def cotree_graph(tree, n: int) -> Graph:
     return from_edge_list(n, sorted(edges))
 
 
-def _edge_count(g, quad):
-    return sum(1 for a, b in combinations(quad, 2) if b in g.adj[a])
+def _first_induced(g, degrees):
+    """First four-vertex set, in lexicographic order, whose sorted degrees in
+    the subgraph it induces equal `degrees`; else None."""
+    rows = g.bit_adjacency
+    for quad in combinations(range(g.n), 4):
+        a, b, c, d = quad
+        mask = 1 << a | 1 << b | 1 << c | 1 << d
+        if sorted([(rows[a] & mask).bit_count(), (rows[b] & mask).bit_count(),
+                   (rows[c] & mask).bit_count(), (rows[d] & mask).bit_count()]) == degrees:
+            return frozenset(quad)
+    return None
 
 
 def find_induced_p4(g: Graph):
     """First four-vertex set (lexicographic) inducing a path, else None."""
-    for quad in combinations(range(g.n), 4):
-        if _edge_count(g, quad) != 3:
-            continue
-        degs = sorted(sum(1 for b in quad if b in g.adj[a]) for a in quad)
-        if degs == [1, 1, 2, 2]:
-            return frozenset(quad)
-    return None
+    return _first_induced(g, [1, 1, 2, 2])
 
 
 def find_induced_2k2(g: Graph):
     """First four-vertex set inducing two disjoint edges, else None."""
-    for quad in combinations(range(g.n), 4):
-        if _edge_count(g, quad) != 2:
-            continue
-        degs = [sum(1 for b in quad if b in g.adj[a]) for a in quad]
-        if all(d == 1 for d in degs):
-            return frozenset(quad)
-    return None
+    return _first_induced(g, [1, 1, 1, 1])
 
 
 def _split_k2_components(g):
@@ -260,10 +275,9 @@ def classify_extremes(g: Graph) -> ExtremeClassification:
             return ExtremeClassification("th_equals_2", 2, {"form": "2K1"})
         return ExtremeClassification("th_equals_n", n, {"form": "edgeless", "n": n})
 
-    comps = components(g)
-    if all(len(c) == 2 for c in comps):
+    if all(len(nbrs) == 1 for nbrs in g.adj):
         return ExtremeClassification(
-            "th_equals_1", 1, {"form": "matching", "r": len(comps)})
+            "th_equals_1", 1, {"form": "matching", "r": n // 2})
 
     hub = recognize_h_graph(g)
     if hub is not None:
@@ -277,26 +291,25 @@ def classify_extremes(g: Graph) -> ExtremeClassification:
         return ExtremeClassification(
             "th_equals_2", 2,
             {"form": "corona_k1", "core_order": core.n, "r": r,
-             "core_vertices": _corona_core_vertices(g)})
+             "core_vertices": [v for v in range(n) if len(g.adj[v]) >= 2]})
 
-    p4 = find_induced_p4(g)
-    kk = find_induced_2k2(g)
-    if p4 is None and kk is None:
+    # A cograph has an induced 2K2 iff some union split has two parts with
+    # an edge, i.e. two parts of at least two vertices.
+    splits = _splits(g)
+    cograph = splits[-1][1] is not None
+    has_2k2 = any(op == "union" and sum(p.bit_count() > 1 for p in parts) > 1
+                  for _, op, parts in splits)
+    if cograph and not has_2k2:
         u, v = next(g.edges())
         return ExtremeClassification(
             "th_equals_n_minus_1", n - 1,
             {"form": "cograph_no_2k2", "edge": [u, v]})
 
+    p4 = None if cograph else find_induced_p4(g)
+    kk = find_induced_2k2(g)
     evidence = {"form": "interior"}
     if p4 is not None:
         evidence["induced_p4"] = sorted(p4)
     if kk is not None:
         evidence["induced_2k2"] = sorted(kk)
     return ExtremeClassification("interior", None, evidence)
-
-
-def _corona_core_vertices(g):
-    """Original ids of the non-pendant core inside the corona decomposition."""
-    rest, _ = _split_k2_components(g)
-    kept = set().union(*rest) if rest else set()
-    return sorted(v for v in kept if len(g.adj[v] & kept) >= 2)

@@ -255,12 +255,27 @@ def test_family_spec_strings():
     assert family_graph("corona_k1(cycle:4)") == corona_k1(cycle(4))
     assert family_graph("corona_k2(path:3)") == corona_k2(path(3))
     assert family_graph("gadget_cycle:10,42") == gadget_family(random_gadget_spec("cycle", 10, 42))
+    assert family_graph("gadget_path:10,42") == gadget_family(random_gadget_spec("path", 10, 42))
+    assert family_graph("path:5") == path(5)
+    assert family_graph("complete:4") == complete(4)
+    assert family_graph("star:3") == star(3)
+    assert family_graph("hypercube:3") == hypercube(3)
 
 
 def test_family_spec_errors():
-    for bad in ("nope:3", "cycle:x", "cycle", "spider:4", "corona_k3(cycle:4)"):
-        with pytest.raises(ValueError):
+    for bad, message in [
+        ("nope:3", "unknown family 'nope'"),
+        ("nope:x", "non-integer parameter in family spec 'nope:x'"),
+        ("cycle:x", "non-integer parameter in family spec 'cycle:x'"),
+        ("cycle", "family 'cycle' takes 1 parameter(s), got 0"),
+        ("spider:4", "family 'spider' takes 2 parameter(s), got 1"),
+        ("h:1,2", "family 'h' takes 3 parameter(s), got 2"),
+        ("complete_multipartite", "complete_multipartite needs at least one part"),
+        ("corona_k3(cycle:4)", "non-integer parameter in family spec 'corona_k3(cycle:4)'"),
+    ]:
+        with pytest.raises(ValueError) as err:
             family_graph(bad)
+        assert str(err.value) == message
 
 
 @given(st.integers(3, 40))

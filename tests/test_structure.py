@@ -8,8 +8,9 @@ from szf.families import (
 )
 from szf.graph import disjoint_union, from_edge_list, induced_subgraph
 from szf.structure import (
-    CotreeLeaf, CotreeNode, build_cotree, classify_extremes, cotree_graph,
-    find_induced_2k2, find_induced_p4, recognize_corona_k1, recognize_h_graph,
+    CotreeLeaf, CotreeNode, _splits, build_cotree, classify_extremes,
+    cotree_graph, find_induced_2k2, find_induced_p4, recognize_corona_k1,
+    recognize_h_graph,
 )
 
 from helpers import all_graphs, brute_force_table, brute_isomorphic, random_graph
@@ -85,6 +86,48 @@ def test_cotree_p4_agreement_random_order_seven(seed, percent):
     assert (tree is None) == (find_induced_p4(g) is not None)
     if tree is not None:
         assert cotree_graph(tree, g.n) == g
+
+
+def test_decomposition_and_classifier_agree_with_the_scans_exhaustively_to_n6():
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            p4, kk = find_induced_p4(g), find_induced_2k2(g)
+            splits = _splits(g)
+            assert (not splits or splits[-1][1] is not None) == (p4 is None)
+            if p4 is None:
+                # On a cograph: an induced 2K2 iff a union split has two
+                # parts of at least two vertices.
+                assert (kk is not None) == any(
+                    op == "union" and sum(p.bit_count() > 1 for p in parts) > 1
+                    for _, op, parts in splits)
+            if (g.num_edges() == 0 or all(g.degree(v) == 1 for v in g.vertices)
+                    or recognize_h_graph(g) is not None
+                    or recognize_corona_k1(g) is not None):
+                continue
+            c = classify_extremes(g)
+            assert (c.label == "th_equals_n_minus_1") == (p4 is None and kk is None)
+            if c.label == "interior":
+                assert c.evidence.get("induced_p4") == (sorted(p4) if p4 else None)
+                assert c.evidence.get("induced_2k2") == (sorted(kk) if kk else None)
+
+
+def test_threshold_graph_of_order_1100_decomposes_without_recursion():
+    n = 1100
+    # Vertex v joins as a dominating vertex when v is odd, isolated when even.
+    g = from_edge_list(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+    tree = build_cotree(g)
+    assert isinstance(tree, CotreeNode)
+    leaves, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, CotreeLeaf):
+            leaves.append(node.vertex)
+        else:
+            stack += [node.left, node.right]
+    assert sorted(leaves) == list(range(n))
+    c = classify_extremes(g)
+    assert (c.label, c.value) == ("th_equals_n_minus_1", n - 1)
+    assert c.evidence == {"form": "cograph_no_2k2", "edge": [0, 1]}
 
 
 def test_recognize_h_graph_families():
