@@ -6,6 +6,10 @@ are 0 (success), 1 (verification mismatch), 2 (parse failure), and 3
 (resource limit: order guard exceeded or an instance ran past the
 timeout). The order guard defaults to 26 and can be overridden with
 --max-n or the SZF_MAX_N environment variable.
+
+Each verify campaign is one entry of CAMPAIGNS: a function from the parsed
+arguments to instance keys, and a function from a key to one CSV row. An
+empty --n or --seeds range, or --n-max below 1, is a parse failure.
 """
 
 import argparse
@@ -173,21 +177,6 @@ def _corona_base_graph(seed: int) -> Graph:
             return g
 
 
-def _certified_corona_k2_value(base: Graph, g2: Graph) -> int:
-    """Exact throttling for small orders, else a witnessed upper bound."""
-    if g2.n <= 15:
-        return throttle_with_bound(g2, base.n + 1).th
-    tr = propagate(g2, range(base.n))
-    assert tr.completed
-    return base.n + tr.pt
-
-
-def _gadget_instance(seed: int):
-    length = 10 + SplitMix64(seed).below(31)
-    spec = random_gadget_spec("cycle", length, seed)
-    return length, spec, gadget_family(spec)
-
-
 def _all_graphs_stats(n: int):
     """Classifier vs brute-force disagreement count over all labeled graphs.
 
@@ -211,122 +200,117 @@ def _all_graphs_stats(n: int):
     return mismatches
 
 
-def _run_instance(payload):
-    campaign, key = payload
-    start = time.monotonic()
+def _formula_row(spec: str, g: Graph, predicted: int):
+    """Exact th against a closed form, which bounds the search whenever it is
+    right; a closed form below the optimum is a mismatch, not an error."""
+    try:
+        computed = throttle_with_bound(g, predicted).th
+    except ValueError:
+        computed = throttle(g).th
+    return spec, g.n, computed, predicted, computed == predicted
 
-    if campaign == "cycles":
-        n = key
-        row = ("cycle:%d" % n, n, throttle(cycle(n)).th, th_cycle_formula(n), None)
-    elif campaign == "paths":
-        n = key
-        row = ("path:%d" % n, n, throttle(path(n)).th, th_path_formula(n), None)
-    elif campaign == "spiders":
-        p, leg = key
-        g = spider(p, leg)
-        predicted = th_spider_formula(p, leg)
-        try:
-            computed = throttle_with_bound(g, predicted).th
-        except ValueError:
-            computed = throttle(g).th
-        row = (f"spider:{p},{leg}", g.n, computed, predicted, None)
-    elif campaign == "hypercubes":
-        n = key
-        g = hypercube(n)
-        predicted = th_hypercube_formula(n)
-        row = (f"hypercube:{n}", g.n, throttle_with_bound(g, predicted).th, predicted, None)
-    elif campaign == "coronas":
-        seed, variant = key
-        base = _corona_base_graph(seed)
-        if variant == "k1":
-            g = corona_k1(base)
-            row = (f"corona_k1(seed={seed})", g.n, throttle(g).th, 2, None)
-        elif variant == "k2":
-            g = corona_k2(base)
-            value = _certified_corona_k2_value(base, g)
-            row = (f"corona_k2(seed={seed})", g.n, value, base.n + 1, value <= base.n + 1)
-        else:  # k2_leaves: only emitted for bases with >= 3 leaves
-            g = corona_k2(base)
-            value = _certified_corona_k2_value(base, g)
-            row = (f"corona_k2_leaves(seed={seed})", g.n, value, base.n, value <= base.n)
-    elif campaign == "extremes":
-        n = key
-        mismatches = _all_graphs_stats(n)
-        row = (f"extremes:n={n}", n, mismatches, 0, None)
-    elif campaign == "diameter-bound":
-        seed = key
-        length, spec, g = _gadget_instance(seed)
-        d = diameter(g)
-        assert min_degree(g) >= 2 and d >= 4
-        spacing = max(2, math.isqrt(2 * length))
-        witness = paired_blue_witness(spec, spacing)
-        tr = propagate(g, witness)
-        assert tr.completed
-        value = len(witness) + tr.pt
-        if g.n <= 28:
-            value = throttle_with_bound(g, value).th
-        row = (f"gadget_cycle:{length},{seed}", g.n, value,
-               str(diameter_lower_bound(d)), diameter_bound_holds(value, d))
-    elif campaign == "gadget-family":
-        seed = key
-        length, spec, g = _gadget_instance(seed)
-        spacing = max(2, math.isqrt(2 * length))
-        witness = paired_blue_witness(spec, spacing)
-        tr = propagate(g, witness)
-        value = len(witness) + tr.pt if tr.completed else g.n + 1
-        budget = math.isqrt(36 * length)
-        row = (f"gadget_cycle:{length},{seed}", g.n, value, budget,
-               tr.completed and value <= budget)
+
+def _corona_keys(args):
+    keys = []
+    for seed in _parse_range(args.seeds or "1..10", "--seeds"):
+        keys += [(seed, "k1"), (seed, "k2")]
+        if len(leaves(_corona_base_graph(seed))) >= 3:
+            keys.append((seed, "k2_leaves"))
+    return keys
+
+
+def _corona_row(seed: int, variant: str):
+    """corona_k1 has th 2. corona_k2 has th at most |G|+1, and at most |G|
+    on the k2_leaves rows (bases with three or more leaves); its value is
+    exact up to order 15, else the hosts-only witness bound."""
+    base = _corona_base_graph(seed)
+    spec = f"corona_{variant}(seed={seed})"
+    if variant == "k1":
+        g = corona_k1(base)
+        computed = throttle(g).th
+        return spec, g.n, computed, 2, computed == 2
+    g = corona_k2(base)
+    if g.n <= 15:
+        computed = throttle_with_bound(g, base.n + 1).th
     else:
-        raise ValueError(f"unknown campaign {campaign!r}")
+        tr = propagate(g, range(base.n))
+        assert tr.completed
+        computed = base.n + tr.pt
+    predicted = base.n + 1 if variant == "k2" else base.n
+    return spec, g.n, computed, predicted, computed <= predicted
 
-    spec_str, n, computed, predicted, match = row
-    if match is None:
-        match = computed == predicted
-    ms = int((time.monotonic() - start) * 1000)
-    return VerificationRow(spec_str, n, computed, predicted, match, ms)
+
+def _gadget_row(seed: int, diameter_bound: bool):
+    """A seeded gadget cycle, valued by its paired-blue witness: against the
+    diameter lower bound (exact th up to order 28), or against the budget
+    isqrt(36 L) for base length L."""
+    length = 10 + SplitMix64(seed).below(31)
+    spec = random_gadget_spec("cycle", length, seed)
+    g = gadget_family(spec)
+    witness = paired_blue_witness(spec, max(2, math.isqrt(2 * length)))
+    tr = propagate(g, witness)
+    computed = len(witness) + tr.pt if tr.completed else g.n + 1
+    name = f"gadget_cycle:{length},{seed}"
+    if not diameter_bound:
+        budget = math.isqrt(36 * length)
+        return name, g.n, computed, budget, tr.completed and computed <= budget
+    d = diameter(g)
+    assert tr.completed and min_degree(g) >= 2 and d >= 4
+    if g.n <= 28:
+        computed = throttle_with_bound(g, computed).th
+    return (name, g.n, computed, str(diameter_lower_bound(d)),
+            diameter_bound_holds(computed, d))
 
 
 def _parse_range(text: str, what: str):
-    parts = text.split("..")
     try:
-        if len(parts) == 1:
-            v = int(parts[0])
-            return range(v, v + 1)
-        if len(parts) == 2:
-            return range(int(parts[0]), int(parts[1]) + 1)
+        bounds = [int(part) for part in text.split("..")]
     except ValueError:
-        pass
-    raise ValueError(f"{what} must look like A..B, got {text!r}")
+        bounds = []
+    if len(bounds) in (1, 2) and bounds[0] <= bounds[-1]:
+        return range(bounds[0], bounds[-1] + 1)
+    raise ValueError(f"{what} must look like A..B with A <= B, got {text!r}")
 
 
-def _campaign_keys(args):
-    name = args.campaign
-    if name in ("cycles", "paths"):
-        return [("%s" % name, n) for n in _parse_range(args.n or "3..18", "--n")]
-    if name == "spiders":
-        return [("spiders", pair) for pair in SPIDER_CASES]
-    if name == "hypercubes":
-        return [("hypercubes", n) for n in _parse_range(args.n or "2..4", "--n")]
-    if name == "coronas":
-        seeds = _parse_range(args.seeds or "1..10", "--seeds")
-        keys = []
-        for s in seeds:
-            keys.append(("coronas", (s, "k1")))
-            keys.append(("coronas", (s, "k2")))
-            base = _corona_base_graph(s)
-            if len(leaves(base)) >= 3:
-                keys.append(("coronas", (s, "k2_leaves")))
-        return keys
-    if name == "extremes":
-        return [("extremes", n) for n in range(1, (args.n_max or 6) + 1)]
-    if name in ("diameter-bound", "gadget-family"):
-        return [(name, s) for s in _parse_range(args.seeds or "1..20", "--seeds")]
-    raise ValueError(f"unknown campaign {name!r}")
+def _extremes_orders(args):
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
+    return range(1, args.n_max + 1)
+
+
+# name -> (instance keys from the parsed arguments, key -> row). A row is
+# (spec, n, computed, predicted, match). The lambdas look module names up at
+# call time, so a function patched on this module is the one that runs.
+CAMPAIGNS = {
+    "paths": (lambda args: _parse_range(args.n or "3..18", "--n"),
+              lambda n: _formula_row(f"path:{n}", path(n), th_path_formula(n))),
+    "cycles": (lambda args: _parse_range(args.n or "3..18", "--n"),
+               lambda n: _formula_row(f"cycle:{n}", cycle(n), th_cycle_formula(n))),
+    "spiders": (lambda args: SPIDER_CASES,
+                lambda key: _formula_row("spider:%d,%d" % key, spider(*key),
+                                         th_spider_formula(*key))),
+    "hypercubes": (lambda args: _parse_range(args.n or "2..4", "--n"),
+                   lambda n: _formula_row(f"hypercube:{n}", hypercube(n),
+                                          th_hypercube_formula(n))),
+    "coronas": (_corona_keys, lambda key: _corona_row(*key)),
+    "extremes": (_extremes_orders,
+                 lambda n: (f"extremes:n={n}", n, (bad := _all_graphs_stats(n)), 0, bad == 0)),
+    "diameter-bound": (lambda args: _parse_range(args.seeds or "1..20", "--seeds"),
+                       lambda seed: _gadget_row(seed, True)),
+    "gadget-family": (lambda args: _parse_range(args.seeds or "1..20", "--seeds"),
+                      lambda seed: _gadget_row(seed, False)),
+}
+
+
+def _run_instance(payload):
+    campaign, key = payload
+    start = time.monotonic()
+    row = CAMPAIGNS[campaign][1](key)
+    return VerificationRow(*row, int((time.monotonic() - start) * 1000))
 
 
 def cmd_verify(args) -> int:
-    keys = _campaign_keys(args)
+    keys = [(args.campaign, key) for key in CAMPAIGNS[args.campaign][0](args)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_run_instance, keys))
@@ -385,11 +369,9 @@ def _build_parser():
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run a verification campaign, emit CSV")
-    p.add_argument("--campaign", required=True,
-                   choices=("paths", "cycles", "spiders", "hypercubes", "coronas",
-                            "extremes", "diameter-bound", "gadget-family"))
+    p.add_argument("--campaign", required=True, choices=tuple(CAMPAIGNS))
     p.add_argument("--n", help="instance range A..B for paths/cycles/hypercubes")
-    p.add_argument("--n-max", type=int, default=None, help="order cap for extremes")
+    p.add_argument("--n-max", type=int, default=6, help="order cap for extremes")
     p.add_argument("--seeds", help="seed range A..B for seeded campaigns")
     p.add_argument("--timeout-s", type=float, default=300.0,
                    help="per-instance wall-clock limit (checked after each instance)")

@@ -84,10 +84,11 @@ class Graph:
     def bit_adjacency(self) -> tuple[int, ...]:
         """Neighbor sets as integer bitmasks (bit v set iff v is a neighbor).
 
-        `structure` reads it for the union-join decomposition and the
-        four-vertex scans. The propagation kernel does not: its integers are
-        indexed by subset, not by vertex, and it walks `adj`. The value is
-        cached on first use and is safe to share since the graph is immutable.
+        `components` walks it, and `structure` reads it for the union-join
+        decomposition and the four-vertex scans. The propagation kernel does
+        not: its integers are indexed by subset, not by vertex, and it walks
+        `adj`. The value is cached on first use and is safe to share since
+        the graph is immutable.
         """
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
 
@@ -177,24 +178,35 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     return _graph_from_sets(len(vs), sets)
 
 
+def _bit_components(rows, vertices):
+    """Components, as bit sets ordered by smallest vertex, of the graph whose
+    neighbor bit sets are `rows`, restricted to the bit set `vertices`."""
+    parts = []
+    while vertices:
+        comp = frontier = vertices & -vertices
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & vertices & ~comp
+            comp |= frontier
+        parts.append(comp)
+        vertices ^= comp
+    return parts
+
+
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
-    seen = [False] * g.n
     out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.add(u)
-                    queue.append(u)
-        out.append(frozenset(comp))
+    for comp in _bit_components(g.bit_adjacency, (1 << g.n) - 1):
+        members = []
+        while comp:
+            low = comp & -comp
+            members.append(low.bit_length() - 1)
+            comp ^= low
+        out.append(frozenset(members))
     return out
 
 

@@ -13,7 +13,7 @@ when it has no induced path on four vertices.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, components, from_edge_list, induced_subgraph
+from .graph import Graph, _bit_components, components, from_edge_list, induced_subgraph
 
 __all__ = [
     "CotreeLeaf",
@@ -41,25 +41,6 @@ class CotreeNode:
     right: "CotreeLeaf | CotreeNode"
 
 
-def _components(rows, vertices):
-    """Components, as bit sets ordered by smallest vertex, of the graph whose
-    neighbor bit sets are `rows`, restricted to the bit set `vertices`."""
-    parts = []
-    while vertices:
-        comp = frontier = vertices & -vertices
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & vertices & ~comp
-            comp |= frontier
-        parts.append(comp)
-        vertices ^= comp
-    return parts
-
-
 def _splits(g):
     """The union-join decomposition of g, top down, as (vertex set, op, parts).
 
@@ -76,7 +57,7 @@ def _splits(g):
     while stack:
         vertices = stack.pop()
         for op, side in (("union", rows), ("join", co_rows)):
-            parts = _components(side, vertices)
+            parts = _bit_components(side, vertices)
             if len(parts) > 1:
                 break
         else:
@@ -113,20 +94,25 @@ def cotree_graph(tree, n: int) -> Graph:
     """Evaluate a cotree bottom-up into the graph it encodes.
 
     Leaves carry original vertex ids, so the result compares equal to the
-    decomposed graph, not merely isomorphic.
+    decomposed graph, not merely isomorphic. The walk uses an explicit stack
+    and keys vertex lists by node identity, since hashing a deep frozen node
+    recurses.
     """
-    def rec(node):
+    members = {}
+    edges = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
         if isinstance(node, CotreeLeaf):
-            return {node.vertex}, set()
-        lv, le = rec(node.left)
-        rv, re_ = rec(node.right)
-        edges = le | re_
-        if node.op == "join":
-            edges |= {(min(u, v), max(u, v)) for u in lv for v in rv}
-        return lv | rv, edges
-
-    _, edges = rec(tree)
-    return from_edge_list(n, sorted(edges))
+            members[id(node)] = [node.vertex]
+        elif id(node.left) in members and id(node.right) in members:
+            left, right = members[id(node.left)], members[id(node.right)]
+            if node.op == "join":
+                edges += [(u, v) for u in left for v in right]
+            members[id(node)] = left + right
+        else:
+            stack += [node, node.left, node.right]
+    return from_edge_list(n, edges)
 
 
 def _first_induced(g, degrees):

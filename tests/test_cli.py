@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from szf.cli import main
+from szf.cli import _formula_row, main
 from szf.families import cycle, friendship, h_graph
 from szf.formats import format_edge_list, from_graph6, parse_edge_list, to_graph6
 from szf.forcing import is_skew_forcing_set, propagate
@@ -229,3 +229,34 @@ def test_verify_coronas_reports_shared_host_leaf_rows(capsys, tmp_path):
 def test_verify_unknown_campaign_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--campaign", "nonsense"])
+
+
+@pytest.mark.parametrize("campaign,flags", [
+    ("hypercubes", ("--n", "2..3")),
+    ("diameter-bound", ("--seeds", "1..3")),
+    ("gadget-family", ("--seeds", "1..3")),
+])
+def test_verify_small_campaigns_match_and_sort(capsys, tmp_path, campaign, flags):
+    out_file = tmp_path / "rows.csv"
+    code, _, _ = run_cli(capsys, "verify", "--campaign", campaign, *flags,
+                         "--output", str(out_file))
+    assert code == 0
+    _, rows = read_rows(out_file)
+    assert rows and all(r[4] == "true" for r in rows)
+    keys = [(r[0], int(r[1])) for r in rows]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--campaign", "cycles", "--n", "9..3"),
+    ("--campaign", "diameter-bound", "--seeds", "5..1"),
+    ("--campaign", "extremes", "--n-max", "0"),
+])
+def test_verify_empty_range_is_an_error(capsys, flags):
+    code, out, err = run_cli(capsys, "verify", *flags)
+    assert code == 2
+    assert err.startswith("error:") and out == ""
+
+
+def test_formula_below_the_optimum_is_a_mismatch_row():
+    assert _formula_row("cycle:8", cycle(8), 3) == ("cycle:8", 8, 4, 3, False)

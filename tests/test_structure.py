@@ -125,6 +125,7 @@ def test_threshold_graph_of_order_1100_decomposes_without_recursion():
         else:
             stack += [node.left, node.right]
     assert sorted(leaves) == list(range(n))
+    assert cotree_graph(tree, n) == g
     c = classify_extremes(g)
     assert (c.label, c.value) == ("th_equals_n_minus_1", n - 1)
     assert c.evidence == {"form": "cograph_no_2k2", "edge": [0, 1]}
