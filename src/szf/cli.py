@@ -9,7 +9,10 @@ timeout). The order guard defaults to 26 and can be overridden with
 
 Each verify campaign is one entry of CAMPAIGNS: a function from the parsed
 arguments to instance keys, and a function from a key to one CSV row. An
-empty --n or --seeds range, or --n-max below 1, is a parse failure.
+empty --n or --seeds range, --n-max below 1, or --jobs below 1 is a parse
+failure. The extremes campaign checks one graph per isomorphism class of
+each order and weights it by its n!/|Aut| labeled copies, so its counts
+are over every labeled graph.
 """
 
 import argparse
@@ -21,8 +24,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 
+from .canon import graph_classes
 from .families import (
     SplitMix64, cycle, family_graph, gadget_family, hypercube,
     paired_blue_witness, path, random_gadget_spec, spider,
@@ -178,25 +181,34 @@ def _corona_base_graph(seed: int) -> Graph:
 
 
 def _all_graphs_stats(n: int):
-    """Classifier vs brute-force disagreement count over all labeled graphs.
+    """Classifier vs brute-force disagreement count over all labeled graphs
+    of order n.
 
-    The brute force runs one batch whose lane i is the vertex subset with
-    bit mask i, without a budget: th is the least round r plus the smallest
-    size among the lanes that first complete in round r.
+    The classifier's label and th are isomorphism invariants, so each class
+    from `canon.graph_classes` is checked once, on its representative, and
+    counts for its n!/|Aut| labeled graphs. Those counts must add up to
+    2^C(n,2); a RuntimeError says they do not. The brute force runs one
+    batch whose lane i is the vertex subset with bit mask i, without a
+    budget: th is the least round r plus the smallest size among the lanes
+    that first complete in round r.
     """
     lanes = 1 << n
     full = (1 << lanes) - 1
     blue = [sum(1 << i for i in range(lanes) if i >> v & 1) for v in range(n)]
     by_size = [sum(1 << i for i in range(lanes) if i.bit_count() == t)
                for t in range(n + 1)]
-    pairs = list(combinations(range(n), 2))
-    mismatches = 0
-    for mask in range(1 << len(pairs)):
-        g = from_edge_list(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
+    mismatches = labeled = 0
+    for rows, aut in graph_classes(n):
+        copies = math.factorial(n) // aut
+        labeled += copies
+        g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1])
         best = min(r + next(t for t, sized in enumerate(by_size) if done & sized)
                    for r, done in _completions(g.adj, blue, full))
         if not _agrees(classify_extremes(g), best, n):
-            mismatches += 1
+            mismatches += copies
+    if labeled != 1 << math.comb(n, 2):
+        raise RuntimeError(f"the classes of order {n} count {labeled} labeled graphs, "
+                           f"not 2^{math.comb(n, 2)}")
     return mismatches
 
 
@@ -310,6 +322,8 @@ def _run_instance(payload):
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     keys = [(args.campaign, key) for key in CAMPAIGNS[args.campaign][0](args)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

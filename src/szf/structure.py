@@ -152,7 +152,11 @@ def recognize_h_graph(g: Graph):
     None. The hub is located structurally (degree and neighborhood
     checks), not by generic isomorphism search.
     """
-    rest, r = _split_k2_components(g)
+    return _h_graph_shape(g, *_split_k2_components(g))
+
+
+def _h_graph_shape(g, rest, r):
+    """recognize_h_graph on g's components without the K2s, and their count r."""
     if len(rest) != 1:
         return None
     core = sorted(rest[0])
@@ -212,7 +216,11 @@ def recognize_corona_k1(g: Graph):
     every core component contains an edge; else None. The core graph is
     relabeled to dense ids.
     """
-    rest, r = _split_k2_components(g)
+    return _corona_k1_shape(g, *_split_k2_components(g))
+
+
+def _corona_k1_shape(g, rest, r):
+    """recognize_corona_k1 on g's components without the K2s, and their count r."""
     if not rest:
         return None
     kept = set().union(*rest)
@@ -265,13 +273,14 @@ def classify_extremes(g: Graph) -> ExtremeClassification:
         return ExtremeClassification(
             "th_equals_1", 1, {"form": "matching", "r": n // 2})
 
-    hub = recognize_h_graph(g)
+    rest, r = _split_k2_components(g)
+    hub = _h_graph_shape(g, rest, r)
     if hub is not None:
         s, t, r = hub
         return ExtremeClassification(
             "th_equals_2", 2, {"form": "h_graph", "s": s, "t": t, "r": r})
 
-    pend = recognize_corona_k1(g)
+    pend = _corona_k1_shape(g, rest, r)
     if pend is not None:
         core, r = pend
         return ExtremeClassification(

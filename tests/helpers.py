@@ -8,8 +8,11 @@ a genuinely independent check of values and witnesses.
 
 from itertools import combinations, permutations
 
+from szf.cli import _agrees
 from szf.graph import Graph, from_edge_list
 from szf.families import SplitMix64
+from szf.structure import classify_extremes
+from szf.throttling import _completions
 
 
 def simple_propagation_rounds(g: Graph, blue_set):
@@ -69,6 +72,27 @@ def all_graphs(n: int):
     for mask in range(1 << len(pairs)):
         yield from_edge_list(
             n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
+
+
+def labeled_extremes_mismatches(n: int, classify=classify_extremes):
+    """The `extremes` campaign count for order n, one labeled graph at a time.
+
+    The brute force runs one batch whose lane i is the vertex subset with
+    bit mask i, without a budget: th is the least round r plus the smallest
+    size among the lanes that first complete in round r.
+    """
+    lanes = 1 << n
+    full = (1 << lanes) - 1
+    blue = [sum(1 << i for i in range(lanes) if i >> v & 1) for v in range(n)]
+    by_size = [sum(1 << i for i in range(lanes) if i.bit_count() == t)
+               for t in range(n + 1)]
+    mismatches = 0
+    for g in all_graphs(n):
+        best = min(r + next(t for t, sized in enumerate(by_size) if done & sized)
+                   for r, done in _completions(g.adj, blue, full))
+        if not _agrees(classify(g), best, n):
+            mismatches += 1
+    return mismatches
 
 
 def random_graph(n: int, seed: int, percent: int = 50) -> Graph:

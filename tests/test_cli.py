@@ -1,13 +1,20 @@
 import csv
 import json
+import math
 
 import pytest
 
-from szf.cli import _formula_row, main
+import szf.cli
+from szf.canon import graph_classes
+from szf.cli import _all_graphs_stats, _formula_row, main
 from szf.families import cycle, friendship, h_graph
 from szf.formats import format_edge_list, from_graph6, parse_edge_list, to_graph6
 from szf.forcing import is_skew_forcing_set, propagate
+from szf.graph import components
+from szf.structure import ExtremeClassification, classify_extremes
 from szf.throttling import throttle
+
+from helpers import labeled_extremes_mismatches
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +258,8 @@ def test_verify_small_campaigns_match_and_sort(capsys, tmp_path, campaign, flags
     ("--campaign", "cycles", "--n", "9..3"),
     ("--campaign", "diameter-bound", "--seeds", "5..1"),
     ("--campaign", "extremes", "--n-max", "0"),
+    ("--campaign", "cycles", "--n", "3..4", "--jobs", "0"),
+    ("--campaign", "cycles", "--n", "3..4", "--jobs", "-5"),
 ])
 def test_verify_empty_range_is_an_error(capsys, flags):
     code, out, err = run_cli(capsys, "verify", *flags)
@@ -260,3 +269,29 @@ def test_verify_empty_range_is_an_error(capsys, flags):
 
 def test_formula_below_the_optimum_is_a_mismatch_row():
     assert _formula_row("cycle:8", cycle(8), 3) == ("cycle:8", 8, 4, 3, False)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_extremes_classes_count_like_the_labeled_loop(n):
+    assert _all_graphs_stats(n) == labeled_extremes_mismatches(n)
+
+
+def cycles_as_th_equals_n(g):
+    """A deliberately wrong classifier rule: cycles get the value n."""
+    if g.n >= 3 and all(len(nbrs) == 2 for nbrs in g.adj) and len(components(g)) == 1:
+        return ExtremeClassification("th_equals_n", g.n, {"form": "cycle"})
+    return classify_extremes(g)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_extremes_classes_and_labeled_loop_catch_the_same_broken_rule(monkeypatch, n):
+    monkeypatch.setattr(szf.cli, "classify_extremes", cycles_as_th_equals_n)
+    count = _all_graphs_stats(n)
+    assert count == labeled_extremes_mismatches(n, cycles_as_th_equals_n)
+    assert count == math.factorial(n - 1) // 2  # the labeled n-cycles
+
+
+def test_extremes_row_raises_when_the_classes_miss_a_labeled_graph(monkeypatch):
+    monkeypatch.setattr(szf.cli, "graph_classes", lambda n: graph_classes(n)[1:])
+    with pytest.raises(RuntimeError, match="order 4"):
+        _all_graphs_stats(4)
