@@ -9,10 +9,11 @@ timeout). The order guard defaults to 26 and can be overridden with
 
 Each verify campaign is one entry of CAMPAIGNS: a function from the parsed
 arguments to instance keys, and a function from a key to one CSV row. An
-empty --n or --seeds range, --n-max below 1, or --jobs below 1 is a parse
-failure. The extremes campaign checks one graph per isomorphism class of
-each order and weights it by its n!/|Aut| labeled copies, so its counts
-are over every labeled graph.
+empty --n or --seeds range, --n-max below 1, --jobs below 1, or a
+--timeout-s that is not a positive number is a parse failure. The extremes
+campaign checks one graph per isomorphism class of each order and weights
+it by its n!/|Aut| labeled copies, so its counts are over every labeled
+graph.
 """
 
 import argparse
@@ -324,9 +325,13 @@ def _run_instance(payload):
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if not args.timeout_s > 0:
+        raise ValueError(f"--timeout-s must be a positive number, got {args.timeout_s}")
     keys = [(args.campaign, key) for key in CAMPAIGNS[args.campaign][0](args)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The fork start method launches every worker at the first submit.
+    workers = min(args.jobs, len(keys))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_instance, keys))
     else:
         rows = [_run_instance(k) for k in keys]

@@ -85,9 +85,9 @@ class Graph:
         """Neighbor sets as integer bitmasks (bit v set iff v is a neighbor).
 
         `components` walks it, and `structure` reads it for the union-join
-        decomposition and the four-vertex scans. The propagation kernel does
-        not: its integers are indexed by subset, not by vertex, and it walks
-        `adj`. The value is cached on first use and is safe to share since
+        decomposition, the hub and corona recognizers and the four-vertex
+        scans. The propagation kernel does not: its integers are indexed by
+        subset, not by vertex, and it walks `adj`. The value is cached on first use and is safe to share since
         the graph is immutable.
         """
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)

@@ -8,12 +8,16 @@ splits. The exhaustive four-vertex scans decide nothing in the classifier;
 they give the induced P4 and 2K2 that `interior` evidence prints, and they
 serve as an independent oracle in tests, since a graph is a cograph exactly
 when it has no induced path on four vertices.
+
+The value-2 shapes, a hub graph or a pendant corona plus disjoint edges, are
+read from the same bit-set components of `Graph.bit_adjacency` that the
+decomposition walks.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, _bit_components, components, from_edge_list, induced_subgraph
+from .graph import Graph, _bit_components, from_edge_list, induced_subgraph
 
 __all__ = [
     "CotreeLeaf",
@@ -138,110 +142,59 @@ def find_induced_2k2(g: Graph):
     return _first_induced(g, [1, 1, 1, 1])
 
 
-def _split_k2_components(g):
-    comps = components(g)
-    extra = [c for c in comps if len(c) == 2]
-    rest = [c for c in comps if len(c) != 2]
-    return rest, len(extra)
-
-
 def recognize_h_graph(g: Graph):
     """Decompose g as a hub graph plus disjoint edges, if possible.
 
     Returns (s, t, r) such that g is isomorphic to h_graph(s, t, r), else
-    None. The hub is located structurally (degree and neighborhood
-    checks), not by generic isomorphism search.
+    None. Besides its r K2 components, g must have exactly one other
+    component, of order m and with e edges, and K1 alone (s = t = r = 0) is
+    not a hub graph. H(s, t) has m = 1 + 2(s + t) and e = 2s + 3t, so
+    t = e - (m - 1), s = (m - 1)/2 - t, and the hub has degree s + 2t. The hub is a vertex of that degree whose removal leaves
+    only 2-vertex components; each of them meets it in one edge (a pendant
+    path) or two (a triangle), so the counting fixes the same (s, t)
+    whichever such vertex is found. Once s + 2t >= 3 the hub is the only
+    vertex of its degree.
     """
-    return _h_graph_shape(g, *_split_k2_components(g))
-
-
-def _h_graph_shape(g, rest, r):
-    """recognize_h_graph on g's components without the K2s, and their count r."""
-    if len(rest) != 1:
+    rows = g.bit_adjacency
+    comps = _bit_components(rows, (1 << g.n) - 1)
+    rest = [c for c in comps if c.bit_count() != 2]
+    r = len(comps) - len(rest)
+    if len(rest) != 1 or g.n == 1:
         return None
-    core = sorted(rest[0])
-    m = len(core)
-    if m % 2 == 0:
-        return None
-    deg = {v: len(g.adj[v] & rest[0]) for v in core}
-    if m == 1:
-        return (0, 0, r) if r >= 1 else None
-    max_deg = max(deg.values())
-    if max_deg <= 2:
-        edge_count = sum(deg.values()) // 2
-        degs = sorted(deg.values())
-        if m == 3 and edge_count == 2:
-            return (1, 0, r)
-        if m == 3 and edge_count == 3:
-            return (0, 1, r)
-        if m == 5 and edge_count == 4 and degs == [1, 1, 2, 2, 2]:
-            return (2, 0, r)
-        return None
-    hubs = [v for v in core if deg[v] == max_deg]
-    if len(hubs) != 1:
-        return None
-    b = hubs[0]
-    s = t = 0
-    seen = {b}
-    for c in sorted(g.adj[b]):
-        if c in seen:
-            continue
-        if deg[c] != 2:
-            return None
-        others = g.adj[c] - {b}
-        if len(others) != 1:
-            return None
-        (d,) = others
-        if d in seen:
-            return None
-        if d in g.adj[b]:
-            if deg[d] != 2:
-                return None
-            t += 1
-        else:
-            if deg[d] != 1:
-                return None
-            s += 1
-        seen.update({c, d})
-    if len(seen) != m:
-        return None
-    return (s, t, r)
+    core = rest[0]
+    members = [v for v in range(g.n) if core >> v & 1]
+    m = len(members)
+    t = sum(rows[v].bit_count() for v in members) // 2 - (m - 1)
+    s = (m - 1) // 2 - t
+    for v in members:
+        if rows[v].bit_count() == s + 2 * t and all(
+                p.bit_count() == 2 for p in _bit_components(rows, core ^ 1 << v)):
+            return (s, t, r)
+    return None
 
 
 def recognize_corona_k1(g: Graph):
     """Decompose g as (core with one pendant per vertex) plus disjoint edges.
 
-    Returns (core_graph, r) when every non-pendant vertex has exactly one
-    pendant neighbor, the pendant-free core has order at least two, and
-    every core component contains an edge; else None. The core graph is
-    relabeled to dense ids.
+    Returns (core_graph, r) when, outside its r K2 components, the core (the
+    vertices of degree other than 1) has order at least two and every core
+    vertex has exactly one pendant neighbor; else None. Such a core vertex
+    has degree at least two, so it also has a core neighbor. The core graph
+    is relabeled to dense ids.
     """
-    return _corona_k1_shape(g, *_split_k2_components(g))
-
-
-def _corona_k1_shape(g, rest, r):
-    """recognize_corona_k1 on g's components without the K2s, and their count r."""
-    if not rest:
+    rows = g.bit_adjacency
+    kept = (1 << g.n) - 1
+    r = 0
+    for c in _bit_components(rows, kept):
+        if c.bit_count() == 2:
+            kept ^= c
+            r += 1
+    pendants = sum(1 << v for v in range(g.n) if kept >> v & 1 and rows[v].bit_count() == 1)
+    core = kept ^ pendants
+    members = [v for v in range(g.n) if core >> v & 1]
+    if len(members) < 2 or any((rows[v] & pendants).bit_count() != 1 for v in members):
         return None
-    kept = set().union(*rest)
-    deg = {v: len(g.adj[v] & kept) for v in kept}
-    pendants = {v for v in kept if deg[v] == 1}
-    core = kept - pendants
-    if len(core) < 2:
-        return None
-    for v in core:
-        if deg[v] < 2:
-            return None
-        if len(g.adj[v] & pendants) != 1:
-            return None
-    for v in pendants:
-        (u,) = g.adj[v] & kept
-        if u not in core:
-            return None
-    for v in core:
-        if not g.adj[v] & core:
-            return None
-    return induced_subgraph(g, core), r
+    return induced_subgraph(g, members), r
 
 
 @dataclass(frozen=True)
@@ -273,14 +226,13 @@ def classify_extremes(g: Graph) -> ExtremeClassification:
         return ExtremeClassification(
             "th_equals_1", 1, {"form": "matching", "r": n // 2})
 
-    rest, r = _split_k2_components(g)
-    hub = _h_graph_shape(g, rest, r)
+    hub = recognize_h_graph(g)
     if hub is not None:
         s, t, r = hub
         return ExtremeClassification(
             "th_equals_2", 2, {"form": "h_graph", "s": s, "t": t, "r": r})
 
-    pend = _corona_k1_shape(g, rest, r)
+    pend = recognize_corona_k1(g)
     if pend is not None:
         core, r = pend
         return ExtremeClassification(

@@ -260,11 +260,50 @@ def test_verify_small_campaigns_match_and_sort(capsys, tmp_path, campaign, flags
     ("--campaign", "extremes", "--n-max", "0"),
     ("--campaign", "cycles", "--n", "3..4", "--jobs", "0"),
     ("--campaign", "cycles", "--n", "3..4", "--jobs", "-5"),
+    ("--campaign", "paths", "--n", "3..4", "--timeout-s", "nan"),
+    ("--campaign", "paths", "--n", "3..4", "--timeout-s", "0"),
+    ("--campaign", "paths", "--n", "3..4", "--timeout-s", "-1"),
 ])
 def test_verify_empty_range_is_an_error(capsys, flags):
     code, out, err = run_cli(capsys, "verify", *flags)
     assert code == 2
     assert err.startswith("error:") and out == ""
+
+
+def test_verify_infinite_timeout_is_no_limit(capsys):
+    code, _, _ = run_cli(capsys, "verify", "--campaign", "paths", "--n", "3..4",
+                         "--timeout-s", "inf")
+    assert code == 0
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count it is
+    asked for and maps in this process, so no worker starts."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        RecordingPool.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("orders,requested", [("2..3", [2]), ("2..2", [])])
+def test_verify_jobs_asks_for_no_more_workers_than_instances(
+        capsys, monkeypatch, orders, requested):
+    monkeypatch.setattr(szf.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "requested", [])
+    code, _, _ = run_cli(capsys, "verify", "--campaign", "hypercubes", "--n", orders,
+                         "--jobs", "64")
+    assert code == 0
+    assert RecordingPool.requested == requested
 
 
 def test_formula_below_the_optimum_is_a_mismatch_row():

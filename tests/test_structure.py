@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from szf.canon import canonical_form, graph_classes
 from szf.families import (
     complete, complete_multipartite, corona_k1, cycle, empty, friendship,
     h_graph, matching, path, spider, star,
@@ -147,6 +148,37 @@ def test_recognized_h_parameters_rebuild_the_graph():
         g = h_graph(s, t, r)
         assert recognize_h_graph(g) == (s, t, r)
         assert brute_isomorphic(h_graph(s, t, r) if s + t + r else g, g)
+
+
+def _code(g):
+    return canonical_form(g.bit_adjacency, g.n)[0]
+
+
+def _class_graphs(n):
+    return [from_edge_list(n, [(u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1])
+            for rows, _ in graph_classes(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_recognizers_match_an_isomorphism_oracle_on_every_class(n):
+    hubs = {_code(h_graph(s, t, r)): (s, t, r)
+            for s in range(n) for t in range(n) for r in range(n)
+            if s + t + r >= 1 and 1 + 2 * (s + t + r) == n}
+    coronas = {}
+    for order in range(2, n // 2 + 1) if n % 2 == 0 else ():
+        r = n // 2 - order
+        for c in _class_graphs(order):
+            if all(c.adj):
+                coronas[_code(disjoint_union(corona_k1(c), matching(r)))] = (_code(c), r)
+    for g in _class_graphs(n):
+        code = _code(g)
+        assert recognize_h_graph(g) == hubs.get(code), list(g.edges())
+        got = recognize_corona_k1(g)
+        if code in coronas:
+            core, r = got
+            assert (_code(core), r) == coronas[code], list(g.edges())
+        else:
+            assert got is None, list(g.edges())
 
 
 def test_recognize_corona_families():
