@@ -44,6 +44,23 @@ class CotreeNode:
     left: "CotreeLeaf | CotreeNode"
     right: "CotreeLeaf | CotreeNode"
 
+    # The generated methods recurse, and a cotree can be as deep as its order.
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, CotreeNode):
+                stack += [")", node.right, ", right=", node.left]
+                node = f"CotreeNode(op={node.op!r}, left="
+            out.append(str(node))  # a text piece, or a leaf's repr
+        return "".join(out)
+
+    def __eq__(self, other):
+        return repr(self) == repr(other) if isinstance(other, CotreeNode) else NotImplemented
+
+    def __hash__(self):
+        return hash(repr(self))
+
 
 def _splits(g):
     """The union-join decomposition of g, top down, as (vertex set, op, parts).
@@ -99,8 +116,8 @@ def cotree_graph(tree, n: int) -> Graph:
 
     Leaves carry original vertex ids, so the result compares equal to the
     decomposed graph, not merely isomorphic. The walk uses an explicit stack
-    and keys vertex lists by node identity, since hashing a deep frozen node
-    recurses.
+    and keys vertex lists by node identity, since hashing a node reads its
+    whole subtree.
     """
     members = {}
     edges = []

@@ -4,19 +4,19 @@ The search enumerates initial sets by size k ascending and, within a size,
 in lexicographic order of the sorted id vector; the first optimum in that
 order is the canonical witness. Subsets are propagated in bit-sliced
 batches (Biham, "A fast new DES implementation in software", FSE 1997) that
-are contiguous in that order, so the lowest lane completing in a batch's
-first completing round is the batch's first optimum.
+pack runs "prefix + every t-subset of s..n-1" side by side. A batch is one
+contiguous range of that order, so its first optimum is the lowest lane
+completing in its first completing round.
 
 The search starts from best = n, the value of V(G). On a graph with an edge
 every other initial set needs a round, so sizes k >= best are skipped. Sizes
 up to Z-(G) run without a round budget, which also yields pt_minimum; later
-batches get the budget best - k, tightened only between batches. A tie with
-the best counts while there is no witness, so the canonical witness is
-reachable when the best value came from a caller's bound.
+batches get the budget best - k, read once per batch. A tie with the best
+counts while there is no witness, so the canonical witness is reachable
+when the best value came from a caller's bound.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .graph import Graph
@@ -109,58 +109,63 @@ def _completions(adj, blue, full, budget=None):
             done = now
 
 
-def _lane_words(n, j):
-    """Per-vertex lane words over the j-subsets of range(n) in lexicographic order.
-
-    Built from s = n - 1 down to 0 out of the t-subsets of s..n-1: those
-    containing s come first, then those that do not.
-    """
-    cols = [[0] * n for _ in range(j + 1)]
-    for s in range(n - 1, -1, -1):
-        for t in range(min(j, n - s), 0, -1):
-            first = comb(n - s - 1, t - 1)
-            with_s, without_s = cols[t - 1], cols[t]
-            col = [a | b << first for a, b in zip(with_s, without_s)]
-            col[s] = (1 << first) - 1
-            cols[t] = col
-    return cols[j]
-
-
 class _Batches:
     """The size-k subsets of one graph's vertices, as bit-sliced batches.
 
-    A batch fixes a (k - j)-prefix and takes every j-subset of the vertices
-    after the prefix as one lane, j being the largest size <= k with
-    C(n, j) <= LANE_CAP. Lane words are built once per j and suffix start.
+    A run is a first node "prefix + every t-subset of s..n-1" of the
+    lexicographic subset tree with at most LANE_CAP lanes. A batch packs
+    consecutive runs up to LANE_CAP lanes and reads budget() once.
     """
 
     def __init__(self, g: Graph):
         self.n = g.n
         self.adj = g.adj
-        self._words = {}
+        self._rows = [[] for _ in range(g.n + 1)]  # rows[u][d] = W(d + u, u), filled on demand
+
+    def lane_words(self, m, t):
+        """W(m, t), the per-vertex lane words of the t-subsets of range(m): those
+        holding vertex 0 first, W(m - 1, t - 1), then the rest, W(m - 1, t)."""
+        rows = self._rows
+        for u, row in enumerate(rows[:t + 1]):
+            for d in range(len(row), m - t + 1):
+                if d and u:
+                    first = comb(d + u - 1, u - 1)
+                    row.append([(1 << first) - 1] + [
+                        a | b << first for a, b in zip(rows[u - 1][d], row[d - 1])])
+                else:  # one lane: everything (d = 0) or nothing (u = 0)
+                    row.append([int(d == 0)] * (d + u))
+        return rows[t][m - t]
+
+    def _packed(self, k):
+        """(per-vertex words, width) per batch, in lexicographic order."""
+        n = self.n
+        blue, width = [0] * n, 0
+        stack = [((), 0, k)]  # (prefix, s, t); children go on last-first
+        while stack:
+            prefix, s, t = stack.pop()
+            lanes = comb(n - s, t)
+            if lanes > LANE_CAP:
+                stack += [(prefix + (v,), v + 1, t - 1) for v in range(n - t, s - 1, -1)]
+                continue
+            if width + lanes > LANE_CAP:
+                yield blue, width
+                blue, width = [0] * n, 0
+            for v in prefix:
+                blue[v] |= ((1 << lanes) - 1) << width
+            for v, w in enumerate(self.lane_words(n - s, t), s):
+                blue[v] |= w << width
+            width += lanes
+        yield blue, width
 
     def first_completions(self, k, budget=lambda: None):
         """Yield (pt, subset) per size-k batch, in lexicographic order.
 
         pt is the batch's first completion round and subset its lowest lane
         completing then; batches that stall or run past budget() rounds
-        yield nothing. budget() is read before each batch.
+        yield nothing. budget() is read once per batch.
         """
-        n = self.n
-        j = max(t for t in range(k + 1) if comb(n, t) <= LANE_CAP)
-        if j not in self._words:
-            # The j-subsets of s..n-1 are the last C(n - s, j) of range(n).
-            base = _lane_words(n, j)
-            self._words[j] = [[w >> (comb(n, j) - comb(n - s, j)) for w in base]
-                              for s in range(n - j + 1)]
-        words = self._words[j]
-        for prefix in combinations(range(n - j), k - j):  # room for j more
-            start = prefix[-1] + 1 if prefix else 0
-            full = (1 << comb(n - start, j)) - 1
-            blue = list(words[start])
-            for v in prefix:
-                blue[v] = full
-            hit = next(_completions(self.adj, blue, full, budget()), None)
+        for blue, width in self._packed(k):
+            hit = next(_completions(self.adj, blue, (1 << width) - 1, budget()), None)
             if hit is not None:
                 pt, lanes = hit
                 lane = (lanes & -lanes).bit_length() - 1

@@ -53,6 +53,21 @@ def test_cotree_of_claw():
                    CotreeNode("union", CotreeLeaf(2), CotreeLeaf(3))))
 
 
+def test_cotree_repr_equality_and_hash_read_like_the_dataclass_fields():
+    tree = build_cotree(star(2))
+    assert repr(tree) == (
+        "CotreeNode(op='join', left=CotreeLeaf(vertex=0), right="
+        "CotreeNode(op='union', left=CotreeLeaf(vertex=1), right=CotreeLeaf(vertex=2)))")
+    same = CotreeNode("join", CotreeLeaf(0),
+                      CotreeNode("union", CotreeLeaf(1), CotreeLeaf(2)))
+    assert tree == same and hash(tree) == hash(same) and len({tree, same}) == 1
+    assert tree != CotreeNode("join", CotreeLeaf(0),
+                              CotreeNode("union", CotreeLeaf(2), CotreeLeaf(1)))
+    assert tree != CotreeNode("union", CotreeLeaf(0),
+                              CotreeNode("union", CotreeLeaf(1), CotreeLeaf(2)))
+    assert tree != CotreeLeaf(0) and tree != None  # noqa: E711
+
+
 def test_cotree_of_p4_fails():
     assert build_cotree(path(4)) is None
 
@@ -127,6 +142,13 @@ def test_threshold_graph_of_order_1100_decomposes_without_recursion():
             stack += [node.left, node.right]
     assert sorted(leaves) == list(range(n))
     assert cotree_graph(tree, n) == g
+    text = repr(tree)
+    assert text.startswith("CotreeNode(op='join', left=CotreeNode(op='union', left=")
+    assert text.count("CotreeLeaf(vertex=") == n and text.count("CotreeNode(") == n - 1
+    again = build_cotree(g)
+    assert again is not tree and tree == again and hash(tree) == hash(again)
+    assert tree != build_cotree(from_edge_list(n, [(u, v) for v in range(1, n, 2)
+                                                   for u in range(v - 1)] + [(0, 1)]))
     c = classify_extremes(g)
     assert (c.label, c.value) == ("th_equals_n_minus_1", n - 1)
     assert c.evidence == {"form": "cograph_no_2k2", "edge": [0, 1]}

@@ -1,18 +1,18 @@
-from itertools import combinations, groupby
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szf.families import (
-    complete, complete_multipartite, corona_k1, cycle, friendship, h_graph,
-    hypercube, matching, path, spider, star,
+    complete, complete_multipartite, corona_k1, cycle, family_graph, friendship,
+    h_graph, hypercube, matching, path, spider, star,
 )
 from szf import throttling
 from szf.forcing import propagate
 from szf.graph import from_edge_list
 from szf.throttling import (
-    _Batches, _completions, _lane_words, min_propagation_time,
+    LANE_CAP, _Batches, _completions, min_propagation_time,
     skew_zero_forcing_number, throttle, throttle_with_bound, throttling_at_k,
 )
 
@@ -182,8 +182,8 @@ def test_json_dict_shape():
 
 # With the real lane cap every graph of order <= 14 fits one batch per size,
 # so small caps are what make budgets tighten between batches and witnesses
-# fall across batch edges. Cap 16 gives prefix batches of 2-subset lanes at
-# n = 6 (C(6, 2) = 15 <= 16 < C(6, 3)).
+# fall across batch edges. Cap 16 splits size 3 at n = 6 (C(6, 3) = 20):
+# one batch of the runs under vertices 0 and 1 (10 + 6 lanes), then the rest.
 SMALL_CAPS = (1, 3, 8, 16)
 
 
@@ -228,7 +228,8 @@ def test_kernel_lanes_match_scalar_propagate(n, seed, percent, data):
     expected = [propagate(g, s).pt for s in subsets]
     budget = data.draw(st.none() | st.integers(0, n))
     seen = {}
-    for r, lanes in _completions(g.adj, _lane_words(n, j), (1 << len(subsets)) - 1, budget):
+    words = _Batches(g).lane_words(n, j)
+    for r, lanes in _completions(g.adj, words, (1 << len(subsets)) - 1, budget):
         for i in range(len(subsets)):
             if lanes >> i & 1:
                 assert i not in seen
@@ -250,21 +251,73 @@ def test_lowest_lane_of_the_first_completing_round_wins():
     assert list(_Batches(g).first_completions(2)) == [(best, frozenset(first))]
 
 
+def test_lane_word_table_matches_combinations():
+    # One table filled in ascending order, one in descending, so rows are
+    # extended both from scratch and on top of earlier requests.
+    rising, falling = _Batches(from_edge_list(10, [])), _Batches(from_edge_list(10, []))
+    pairs = [(m, t) for m in range(11) for t in range(m + 1)]
+    for table, order in ((rising, pairs), (falling, pairs[::-1])):
+        for m, t in order:
+            expected = [0] * m
+            for i, subset in enumerate(combinations(range(m), t)):
+                for v in subset:
+                    expected[v] |= 1 << i
+            assert table.lane_words(m, t) == expected, (m, t)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
-    # Cap 8 on n = 7: C(7, 1) = 7 <= 8 < C(7, 2), so for k = 1..5 each batch
-    # fixes the first k - 1 vertices and takes every later vertex as a lane.
-    monkeypatch.setattr(throttling, "LANE_CAP", 8)
-    g = random_graph(7, seed, 40)
-    batches_reporting = []
-    for k in range(1, 6):
-        expected = []
-        for _, batch in groupby(combinations(range(7), k), key=lambda s: s[:-1]):
-            done = [(propagate(g, s).pt, s) for s in batch]
-            done = [(pt, s) for pt, s in done if pt is not None]
-            if done:
-                pt, s = min(done)
-                expected.append((pt, frozenset(s)))
-        assert list(_Batches(g).first_completions(k)) == expected
-        batches_reporting.append(len(expected))
-    assert max(batches_reporting) > 1
+    # A batch packs whole runs "prefix + every t-subset of s..n-1". Its lanes,
+    # batch after batch, are the size-k subsets in lexicographic order; each
+    # holds at most LANE_CAP lanes but no room for the next run, and reports
+    # the first minimum over its own lanes.
+    n = 7 + seed // 2
+    g = random_graph(n, seed, 40)
+    recorded = []
+
+    def recording(adj, blue, full, budget=None):
+        lanes = [tuple(v for v, b in enumerate(blue) if b >> i & 1)
+                 for i in range(full.bit_length())]
+        recorded.append(lanes)
+        return _completions(adj, blue, full, budget)
+
+    monkeypatch.setattr(throttling, "_completions", recording)
+    for cap in (3, 8, 16):
+        monkeypatch.setattr(throttling, "LANE_CAP", cap)
+        batch_counts = []
+        for k in range(n + 1):
+            recorded.clear()
+            reported = list(_Batches(g).first_completions(k))
+            assert [s for lanes in recorded for s in lanes] == list(combinations(range(n), k))
+            assert all(len(lanes) <= cap for lanes in recorded)
+            assert all(len(a) + len(b) > cap for a, b in zip(recorded, recorded[1:]))
+            expected = []
+            for lanes in recorded:
+                done = [(propagate(g, s).pt, i) for i, s in enumerate(lanes)]
+                done = [(pt, i) for pt, i in done if pt is not None]
+                if done:
+                    pt, i = min(done)
+                    expected.append((pt, frozenset(lanes[i])))
+            assert reported == expected, (cap, k)
+            batch_counts.append(len(recorded))
+        assert max(batch_counts) > 1
+
+
+@pytest.mark.parametrize("spec", ["star:20", "complete:20"])
+def test_high_z_graphs_run_many_full_batches_at_the_real_cap(monkeypatch, spec):
+    # Z- = n - 2, so every size up to n - 2 is searched without a budget;
+    # C(n, n/2) is far above LANE_CAP, so the middle sizes take many batches.
+    g = family_graph(spec)
+    widths = []
+
+    def counting(adj, blue, full, budget=None):
+        widths.append(full.bit_length())
+        return _completions(adj, blue, full, budget)
+
+    monkeypatch.setattr(throttling, "_completions", counting)
+    r = throttle(g)
+    assert r.th == g.n - 1  # the value n - 1 of the paper's characterization
+    assert (r.z_minus, r.pt_minimum) == (g.n - 2, 1)
+    trace = propagate(g, r.witness)
+    assert trace.completed and r.k + trace.pt == r.th
+    assert max(widths) > LANE_CAP // 2 and len(widths) > 2 * g.n
