@@ -235,10 +235,11 @@ def random_gadget_spec(base: str, base_length: int, seed: int) -> GadgetFamilySp
 def paired_blue_witness(spec: GadgetFamilySpec, spacing: int) -> frozenset[int]:
     """Adjacent base-vertex pairs every `spacing` positions along the base.
 
-    Path bases additionally get a pair at the far end. The returned set is
-    a skew forcing set of gadget_family(spec): gadgets on blue vertices
-    clear in one round, then the blue front advances one base vertex per
-    two rounds from each pair.
+    Path bases additionally get a pair at the far end, or their one vertex
+    when the base has length one. The returned set is a skew forcing set
+    of gadget_family(spec): gadgets on blue vertices clear in one round,
+    then the blue front advances one base vertex per two rounds from each
+    pair.
     """
     L = spec.base_length
     if spacing < 1:
@@ -249,13 +250,10 @@ def paired_blue_witness(spec: GadgetFamilySpec, spacing: int) -> frozenset[int]:
     for p in range(0, L, spacing):
         if spec.base == "cycle":
             chosen.update({p, (p + 1) % L})
-        else:
-            if p + 1 < L:
-                chosen.update({p, p + 1})
-            else:
-                chosen.update({L - 2, L - 1})
-    if spec.base == "path" and L >= 2:
-        chosen.update({L - 2, L - 1})
+        elif p + 1 < L:
+            chosen.update({p, p + 1})
+    if spec.base == "path":
+        chosen.update({max(L - 2, 0), L - 1})
     return frozenset(chosen)
 
 

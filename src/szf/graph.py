@@ -87,8 +87,8 @@ class Graph:
         `components` walks it, and `structure` reads it for the union-join
         decomposition, the hub and corona recognizers and the four-vertex
         scans. The propagation kernel does not: its integers are indexed by
-        subset, not by vertex, and it walks `adj`. The value is cached on first use and is safe to share since
-        the graph is immutable.
+        subset, not by vertex, and it walks `adj`. The value is cached on
+        first use and is safe to share since the graph is immutable.
         """
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
 
@@ -263,14 +263,4 @@ def ball(g: Graph, v: int, r: int) -> frozenset[int]:
         raise ValueError("vertex out of range")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        w = queue.popleft()
-        if dist[w] == r:
-            continue
-        for u in g.adj[w]:
-            if u not in dist:
-                dist[u] = dist[w] + 1
-                queue.append(u)
-    return frozenset(dist)
+    return frozenset(u for u, d in _bfs_layers(g, v).items() if d <= r)

@@ -166,11 +166,12 @@ def recognize_h_graph(g: Graph):
     None. Besides its r K2 components, g must have exactly one other
     component, of order m and with e edges, and K1 alone (s = t = r = 0) is
     not a hub graph. H(s, t) has m = 1 + 2(s + t) and e = 2s + 3t, so
-    t = e - (m - 1), s = (m - 1)/2 - t, and the hub has degree s + 2t. The hub is a vertex of that degree whose removal leaves
-    only 2-vertex components; each of them meets it in one edge (a pendant
-    path) or two (a triangle), so the counting fixes the same (s, t)
-    whichever such vertex is found. Once s + 2t >= 3 the hub is the only
-    vertex of its degree.
+    t = e - (m - 1), s = (m - 1)/2 - t, and the hub has degree s + 2t. The
+    hub is a vertex of that degree whose removal leaves only 2-vertex
+    components; each of them meets it in one edge (a pendant path) or two
+    (a triangle), so the counting fixes the same (s, t) whichever such
+    vertex is found. Once s + 2t >= 3 the hub is the only vertex of its
+    degree.
     """
     rows = g.bit_adjacency
     comps = _bit_components(rows, (1 << g.n) - 1)

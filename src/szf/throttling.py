@@ -8,12 +8,15 @@ pack runs "prefix + every t-subset of s..n-1" side by side. A batch is one
 contiguous range of that order, so its first optimum is the lowest lane
 completing in its first completing round.
 
-The search starts from best = n, the value of V(G). On a graph with an edge
-every other initial set needs a round, so sizes k >= best are skipped. Sizes
-up to Z-(G) run without a round budget, which also yields pt_minimum; later
-batches get the budget best - k, read once per batch. A tie with the best
-counts while there is no witness, so the canonical witness is reachable
-when the best value came from a caller's bound.
+The reduction `_least` keeps, over the batches of one size, the first
+optimum in that order: each batch after a hit is budgeted to beat it.
+min_propagation_time is its value at the first size where it finds a set,
+in one pass. The search starts from best = n + 1, one past the value n of
+V(G), so an edgeless graph, where only V(G) forces, needs no special case;
+sizes k >= best are skipped. Sizes up to Z-(G) run without a round budget,
+which also yields pt_minimum; later sizes get the budget best - k, so sizes
+that tie the best still count in per_k, while only a smaller value replaces
+the witness.
 """
 
 from dataclasses import dataclass
@@ -178,14 +181,21 @@ def skew_zero_forcing_number(g: Graph) -> int:
     return next(k for k in range(g.n + 1) if any(batches.first_completions(k)))
 
 
+def _least(batches, k, limit=None):
+    """(pt, subset) for the first size-k set in lexicographic order with the
+    least propagation time within `limit` rounds, or None. Each batch after
+    a hit is budgeted to beat it."""
+    least = None
+    for hit in batches.first_completions(
+            k, lambda: limit if least is None else least[0] - 1):
+        least = hit
+    return least
+
+
 def min_propagation_time(g: Graph) -> int:
     """Minimum propagation time over minimum skew forcing sets."""
-    z = skew_zero_forcing_number(g)
-    best = None
-    for pt, _ in _Batches(g).first_completions(
-            z, lambda: None if best is None else best - 1):
-        best = pt
-    return best
+    batches = _Batches(g)
+    return next(hit for k in range(g.n + 1) if (hit := _least(batches, k)))[0]
 
 
 def throttling_at_k(g: Graph, k: int) -> int | None:
@@ -195,60 +205,39 @@ def throttling_at_k(g: Graph, k: int) -> int | None:
     """
     if not 0 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
-    best = None
-    for pt, _ in _Batches(g).first_completions(
-            k, lambda: None if best is None else best - k - 1):
-        best = k + pt
-    return best
-
-
-def _edgeless_result(g: Graph) -> ThrottleResult:
-    n = g.n
-    everything = frozenset(range(n))
-    return ThrottleResult(
-        th=n, witness=everything, k=n, pt=0,
-        per_k={n: n}, z_minus=n, pt_minimum=0,
-    )
+    hit = _least(_Batches(g), k)
+    return None if hit is None else k + hit[0]
 
 
 def _search(g: Graph, upper: int | None) -> ThrottleResult:
     n = g.n
-    if g.num_edges() == 0:
-        if upper is not None and upper < n:
-            raise ValueError(f"bound {upper} is below the optimum {n}")
-        return _edgeless_result(g)
-
     batches = _Batches(g)
-    best = n if upper is None else min(n, upper)
+    best = (n if upper is None else min(n, upper)) + 1
     witness = None
-    observed: dict[int, int] = {}
+    per_k: dict[int, int] = {}
     z = ptm = None
 
     k = 0
     while k < best:
-        unbounded = z is None
-        for pt, subset in batches.first_completions(
-                k, lambda: None if unbounded else best - k):
-            if unbounded:
-                ptm = pt if ptm is None else min(ptm, pt)
-            th = k + pt
-            observed[k] = min(observed.get(k, th), th)
-            if th < best or (th == best and witness is None):
-                best = th
-                witness = subset
-        if unbounded and ptm is not None:
-            z = k
+        hit = _least(batches, k, None if z is None else best - k)
+        if hit is not None:
+            pt, subset = hit
+            if z is None:
+                z, ptm = k, pt
+            per_k[k] = k + pt
+            if k + pt < best:
+                best, witness = k + pt, subset
         k += 1
 
     if witness is None:
-        raise ValueError(f"no skew forcing set found with |S| + pt <= {best}; "
+        raise ValueError(f"no skew forcing set found with |S| + pt <= {upper}; "
                          "the supplied bound is below the optimum")
 
-    per_k = {k: v for k, v in observed.items() if v <= best}
     kw = len(witness)
     return ThrottleResult(
         th=best, witness=witness, k=kw, pt=best - kw,
-        per_k=per_k, z_minus=z, pt_minimum=ptm,
+        per_k={k: v for k, v in per_k.items() if v == best},
+        z_minus=z, pt_minimum=ptm,
     )
 
 

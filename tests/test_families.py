@@ -230,6 +230,17 @@ def test_paired_witness_forces_bare_path_with_end_pairs():
     assert propagate(path(10), witness).completed
 
 
+def test_paired_witness_forces_every_short_path_base():
+    # A one-vertex base has no pair to take: the witness is that vertex.
+    for length in range(1, 9):
+        for spacing in range(1, length + 1):
+            for seed in range(1, 31):
+                spec = random_gadget_spec("path", length, seed)
+                witness = paired_blue_witness(spec, spacing)
+                assert witness <= frozenset(range(length))
+                assert propagate(gadget_family(spec), witness).completed
+
+
 def test_paired_witness_spacing_bounds():
     spec = GadgetFamilySpec("cycle", 6, ((),) * 6)
     with pytest.raises(ValueError):

@@ -193,6 +193,10 @@ def _assert_every_entry_point_matches(g, table):
     optimal = {k: v for k, v in per_k.items() if v == th}
     assert (r.th, r.witness, r.per_k, r.z_minus, r.pt_minimum) == (th, witness, optimal, z, ptm)
     assert throttle_with_bound(g, th) == r
+    assert throttle_with_bound(g, g.n + 1) == r
+    if th >= 1:
+        with pytest.raises(ValueError):
+            throttle_with_bound(g, th - 1)
     assert [throttling_at_k(g, k) for k in range(g.n + 1)] == [
         per_k.get(k) for k in range(g.n + 1)]
     assert skew_zero_forcing_number(g) == z
