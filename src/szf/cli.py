@@ -377,7 +377,7 @@ def _build_parser():
     add_input_flags(p)
     p.add_argument("--trace", action="store_true", help="embed the witness trace")
     p.add_argument("--bound", type=int, default=None,
-                   help="admissible upper bound to accelerate the search")
+                   help="claimed upper bound on th; exit 2 if it is below the optimum")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("classify", help="structural throttling classification as JSON")

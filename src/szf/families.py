@@ -260,27 +260,18 @@ def paired_blue_witness(spec: GadgetFamilySpec, spacing: int) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # closed forms and bounds (integer arithmetic throughout)
 
-def _least_m(predicate, start=0):
-    m = start
-    while not predicate(m):
-        m += 1
-    return m
-
-
 def th_cycle_formula(n: int) -> int:
     """ceil(sqrt(2n) - 1/2): least m with (2m+1)^2 >= 8n."""
     if n < 3:
         raise ValueError("cycles need at least three vertices")
-    m = max(0, (isqrt(8 * n) - 1) // 2 - 1)
-    return _least_m(lambda m: (2 * m + 1) ** 2 >= 8 * n, m)
+    return (isqrt(8 * n - 1) + 1) // 2
 
 
 def th_path_formula(n: int) -> int:
     """ceil(sqrt(2(n+1)) - 3/2): least m with (2m+3)^2 >= 8(n+1)."""
     if n < 3:
         raise ValueError("the path formula applies for n >= 3")
-    m = max(0, (isqrt(8 * (n + 1)) - 3) // 2 - 1)
-    return _least_m(lambda m: (2 * m + 3) ** 2 >= 8 * (n + 1), m)
+    return (isqrt(8 * n + 7) - 1) // 2
 
 
 def th_spider_formula(p: int, leg: int) -> int:

@@ -10,12 +10,11 @@ completing in its first completing round.
 
 The reduction `_least` keeps, over the batches of one size, the first
 optimum in that order: each batch after a hit is budgeted to beat it.
-min_propagation_time is its value at the first size where it finds a set,
-in one pass. The search starts from best = n + 1, one past the value n of
-V(G), so an edgeless graph, where only V(G) forces, needs no special case;
-sizes k >= best are skipped. Sizes up to Z-(G) run without a round budget,
-which also yields pt_minimum; later sizes get the budget best - k, so sizes
-that tie the best still count in per_k, while only a smaller value replaces
+Sizes up to Z-(G) run without a round budget: the first size where it
+finds a set is Z-(G), and its value there is pt_minimum, where
+min_propagation_time stops. throttle goes on from Z-(G) + 1 while k is
+below the best value, budgeting size k to best - k rounds, so sizes that
+tie the best still count in per_k, while only a smaller value replaces
 the witness.
 """
 
@@ -43,8 +42,7 @@ class ThrottleResult:
     per_k maps k to the optimal |S| + pt over sets of size k for every k
     at which the global optimum is attained; sizes whose best value
     exceeds the optimum are not certified by the pruned search and are
-    omitted, so the table is identical whether or not an upper bound was
-    supplied.
+    omitted.
     """
 
     th: int
@@ -117,7 +115,7 @@ class _Batches:
 
     A run is a first node "prefix + every t-subset of s..n-1" of the
     lexicographic subset tree with at most LANE_CAP lanes. A batch packs
-    consecutive runs up to LANE_CAP lanes and reads budget() once.
+    consecutive runs up to LANE_CAP lanes.
     """
 
     def __init__(self, g: Graph):
@@ -160,42 +158,41 @@ class _Batches:
             width += lanes
         yield blue, width
 
-    def first_completions(self, k, budget=lambda: None):
-        """Yield (pt, subset) per size-k batch, in lexicographic order.
-
-        pt is the batch's first completion round and subset its lowest lane
-        completing then; batches that stall or run past budget() rounds
-        yield nothing. budget() is read once per batch.
-        """
-        for blue, width in self._packed(k):
-            hit = next(_completions(self.adj, blue, (1 << width) - 1, budget()), None)
-            if hit is not None:
-                pt, lanes = hit
-                lane = (lanes & -lanes).bit_length() - 1
-                yield pt, frozenset(v for v, b in enumerate(blue) if b >> lane & 1)
-
 
 def skew_zero_forcing_number(g: Graph) -> int:
     """Least k such that some size-k set forces the whole graph; may be 0."""
     batches = _Batches(g)
-    return next(k for k in range(g.n + 1) if any(batches.first_completions(k)))
+    return next(k for k in range(g.n + 1) if any(
+        next(_completions(g.adj, blue, (1 << width) - 1), None)
+        for blue, width in batches._packed(k)))
 
 
 def _least(batches, k, limit=None):
     """(pt, subset) for the first size-k set in lexicographic order with the
-    least propagation time within `limit` rounds, or None. Each batch after
-    a hit is budgeted to beat it."""
+    least propagation time within `limit` rounds, or None.
+
+    A batch's first optimum is its lowest lane completing in its first
+    completing round; each batch after a hit is budgeted to beat it.
+    """
     least = None
-    for hit in batches.first_completions(
-            k, lambda: limit if least is None else least[0] - 1):
-        least = hit
+    for blue, width in batches._packed(k):
+        hit = next(_completions(batches.adj, blue, (1 << width) - 1, limit), None)
+        if hit is not None:
+            pt, lanes = hit
+            lane = (lanes & -lanes).bit_length() - 1
+            least = pt, frozenset(v for v, b in enumerate(blue) if b >> lane & 1)
+            limit = pt - 1
     return least
+
+
+def _first_forcing(batches):
+    """(Z-(G), pt, subset): the first size with a forcing set, and _least there."""
+    return next((k, *hit) for k in range(batches.n + 1) if (hit := _least(batches, k)))
 
 
 def min_propagation_time(g: Graph) -> int:
     """Minimum propagation time over minimum skew forcing sets."""
-    batches = _Batches(g)
-    return next(hit for k in range(g.n + 1) if (hit := _least(batches, k)))[0]
+    return _first_forcing(_Batches(g))[1]
 
 
 def throttling_at_k(g: Graph, k: int) -> int | None:
@@ -209,29 +206,21 @@ def throttling_at_k(g: Graph, k: int) -> int | None:
     return None if hit is None else k + hit[0]
 
 
-def _search(g: Graph, upper: int | None) -> ThrottleResult:
-    n = g.n
+def throttle(g: Graph) -> ThrottleResult:
+    """Globally optimal skew throttling with the canonical witness."""
     batches = _Batches(g)
-    best = (n if upper is None else min(n, upper)) + 1
-    witness = None
-    per_k: dict[int, int] = {}
-    z = ptm = None
-
-    k = 0
+    z, ptm, witness = _first_forcing(batches)
+    best = z + ptm
+    per_k = {z: best}
+    k = z + 1
     while k < best:
-        hit = _least(batches, k, None if z is None else best - k)
+        hit = _least(batches, k, best - k)
         if hit is not None:
             pt, subset = hit
-            if z is None:
-                z, ptm = k, pt
             per_k[k] = k + pt
             if k + pt < best:
                 best, witness = k + pt, subset
         k += 1
-
-    if witness is None:
-        raise ValueError(f"no skew forcing set found with |S| + pt <= {upper}; "
-                         "the supplied bound is below the optimum")
 
     kw = len(witness)
     return ThrottleResult(
@@ -241,17 +230,16 @@ def _search(g: Graph, upper: int | None) -> ThrottleResult:
     )
 
 
-def throttle(g: Graph) -> ThrottleResult:
-    """Globally optimal skew throttling with the canonical witness."""
-    return _search(g, None)
-
-
 def throttle_with_bound(g: Graph, upper: int) -> ThrottleResult:
-    """Same result as throttle(g), accelerated by an admissible upper bound.
+    """throttle(g), checked against a claimed upper bound on th(g).
 
-    The caller guarantees upper >= th(g); a bound below the optimum leaves
-    nothing to find and raises ValueError.
+    The bound does not change the search or its result; a bound below the
+    optimum raises ValueError.
     """
     if upper < 0:
         raise ValueError("bound must be nonnegative")
-    return _search(g, upper)
+    result = throttle(g)
+    if upper < result.th:
+        raise ValueError(f"no skew forcing set found with |S| + pt <= {upper}; "
+                         "the supplied bound is below the optimum")
+    return result

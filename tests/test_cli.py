@@ -82,10 +82,21 @@ def test_compute_json_keys_are_frozen(capsys):
     assert set(payload) == {"n", "th", "k", "pt", "witness", "per_k", "z_minus", "pt_minimum"}
 
 
-def test_compute_bound_accelerates_same_result(capsys):
+def test_compute_bound_at_or_above_the_optimum_keeps_the_json(capsys):
     code, out, _ = run_cli(capsys, "compute", "--family", "cycle:12", "--bound", "5")
     assert code == 0
     assert json.loads(out)["th"] == 5
+    _, plain, _ = run_cli(capsys, "compute", "--family", "cycle:8")
+    code, out, _ = run_cli(capsys, "compute", "--family", "cycle:8", "--bound", "4")
+    assert code == 0
+    assert out == plain
+
+
+def test_compute_bound_below_the_optimum_exits_2(capsys):
+    code, out, err = run_cli(capsys, "compute", "--family", "cycle:8", "--bound", "3")
+    assert code == 2
+    assert "below the optimum" in err
+    assert out == ""
 
 
 def test_compute_parse_failure_exit_code(capsys, monkeypatch):

@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szf.families import (
-    complete, complete_multipartite, corona_k1, cycle, family_graph, friendship,
-    h_graph, hypercube, matching, path, spider, star,
+    SplitMix64, complete, complete_multipartite, corona_k1, cycle, family_graph,
+    friendship, h_graph, hypercube, matching, path, spider, star,
 )
 from szf import throttling
 from szf.forcing import propagate
 from szf.graph import from_edge_list
 from szf.throttling import (
-    LANE_CAP, _Batches, _completions, min_propagation_time,
+    LANE_CAP, _Batches, _completions, _least, min_propagation_time,
     skew_zero_forcing_number, throttle, throttle_with_bound, throttling_at_k,
 )
 
@@ -252,7 +252,7 @@ def test_lowest_lane_of_the_first_completing_round_wins():
     best = min(pt for pt in pts if pt is not None)
     assert pts.count(best) > 1
     first = subsets[pts.index(best)]
-    assert list(_Batches(g).first_completions(2)) == [(best, frozenset(first))]
+    assert _least(_Batches(g), 2) == (best, frozenset(first))
 
 
 def test_lane_word_table_matches_combinations():
@@ -273,10 +273,11 @@ def test_lane_word_table_matches_combinations():
 def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
     # A batch packs whole runs "prefix + every t-subset of s..n-1". Its lanes,
     # batch after batch, are the size-k subsets in lexicographic order; each
-    # holds at most LANE_CAP lanes but no room for the next run, and reports
-    # the first minimum over its own lanes.
+    # holds at most LANE_CAP lanes but no room for the next run. _least reads
+    # the first (pt, lane) minimum over all of them, within a drawn limit.
     n = 7 + seed // 2
     g = random_graph(n, seed, 40)
+    rng = SplitMix64(seed)
     recorded = []
 
     def recording(adj, blue, full, budget=None):
@@ -290,19 +291,21 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
         monkeypatch.setattr(throttling, "LANE_CAP", cap)
         batch_counts = []
         for k in range(n + 1):
-            recorded.clear()
-            reported = list(_Batches(g).first_completions(k))
-            assert [s for lanes in recorded for s in lanes] == list(combinations(range(n), k))
-            assert all(len(lanes) <= cap for lanes in recorded)
-            assert all(len(a) + len(b) > cap for a, b in zip(recorded, recorded[1:]))
-            expected = []
-            for lanes in recorded:
-                done = [(propagate(g, s).pt, i) for i, s in enumerate(lanes)]
-                done = [(pt, i) for pt, i in done if pt is not None]
+            for limit in (None, rng.below(n + 1)):
+                recorded.clear()
+                least = _least(_Batches(g), k, limit)
+                subsets = [s for lanes in recorded for s in lanes]
+                assert subsets == list(combinations(range(n), k))
+                assert all(len(lanes) <= cap for lanes in recorded)
+                assert all(len(a) + len(b) > cap for a, b in zip(recorded, recorded[1:]))
+                done = [(pt, i) for i, s in enumerate(subsets)
+                        if (pt := propagate(g, s).pt) is not None
+                        and (limit is None or pt <= limit)]
+                expected = None
                 if done:
                     pt, i = min(done)
-                    expected.append((pt, frozenset(lanes[i])))
-            assert reported == expected, (cap, k)
+                    expected = pt, frozenset(subsets[i])
+                assert least == expected, (cap, k, limit)
             batch_counts.append(len(recorded))
         assert max(batch_counts) > 1
 
