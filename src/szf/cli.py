@@ -23,8 +23,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .canon import graph_classes
 from .families import (
@@ -51,8 +50,7 @@ SPIDER_CASES = ((4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (6, 3), (4, 4), (5, 4), 
 CSV_HEADER = "spec,n,computed,predicted,match,runtime_ms"
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     spec: str
     n: int
     computed: object
@@ -330,6 +328,7 @@ def cmd_verify(args) -> int:
     # The fork start method launches every worker at the first submit.
     workers = min(args.jobs, len(keys))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_instance, keys))
     else:

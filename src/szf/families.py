@@ -15,10 +15,9 @@ Square-root ceilings are computed with integer arithmetic only; the tie
 cases (an exact .5) are precisely where float rounding goes wrong.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 import re
+from typing import NamedTuple
 
 from .graph import Graph, corona, from_edge_list
 
@@ -161,8 +160,8 @@ def corona_k2(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # gadget family: path or cycle base with K2 gadgets hung on base vertices
 
-@dataclass(frozen=True)
-class GadgetFamilySpec:
+class GadgetFamilySpec(NamedTuple("_GadgetFields", [
+        ("base", str), ("base_length", int), ("attachments", tuple[tuple[str, ...], ...])])):
     """Construction recipe: a base path or cycle plus per-vertex K2 gadgets.
 
     attachments[v] lists the gadgets of base vertex v; each entry is
@@ -171,11 +170,8 @@ class GadgetFamilySpec:
     corpora that need minimum degree two use double gadgets only.
     """
 
-    base: str
-    base_length: int
-    attachments: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
+    def __new__(cls, base, base_length, attachments):
+        self = super().__new__(cls, base, base_length, attachments)
         if self.base not in ("path", "cycle"):
             raise ValueError("base must be 'path' or 'cycle'")
         if self.base == "cycle" and self.base_length < 3:
@@ -188,6 +184,9 @@ class GadgetFamilySpec:
             for kind in per_vertex:
                 if kind not in ("single", "double"):
                     raise ValueError(f"unknown gadget kind {kind!r}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     @property
     def order(self) -> int:
@@ -292,7 +291,7 @@ def th_spider_formula(p: int, leg: int) -> int:
     return 1 + p + (leg + 1) // 4
 
 
-def spider_f_bound(p: int, leg: int) -> tuple[Fraction, Fraction]:
+def spider_f_bound(p: int, leg: int):
     """Exact rational bracket (f/2, 3f) with f = min(leg, sqrt(p*leg)) for
     even legs and max(p, sqrt(p*leg)) for odd legs.
 
@@ -301,6 +300,7 @@ def spider_f_bound(p: int, leg: int) -> tuple[Fraction, Fraction]:
     """
     if p < 2 or leg < 2:
         raise ValueError("bound applies for p, leg >= 2")
+    from fractions import Fraction
     product = p * leg
     root = isqrt(product)
     exact = root * root == product
@@ -330,7 +330,7 @@ def diameter_bound_holds(th: int, d: int) -> bool:
     return (4 * th + 1) ** 2 >= 16 * d
 
 
-def diameter_lower_bound(d: int) -> Fraction:
+def diameter_lower_bound(d: int):
     """Largest quarter-integer below sqrt(d) - 1/4, for report display.
 
     Use diameter_bound_holds for the exact comparison; this value can sit
@@ -338,6 +338,7 @@ def diameter_lower_bound(d: int) -> Fraction:
     """
     if d < 4:
         raise ValueError("bound applies for diameter at least four")
+    from fractions import Fraction
     return Fraction(isqrt(16 * d) - 1, 4)
 
 

@@ -7,7 +7,7 @@ a white vertex may force is what separates this rule from standard zero
 forcing (and is why rK2 colors itself from an empty initial set).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, ball, leaves
 
@@ -28,8 +28,7 @@ OUTCOME_COMPLETED = "completed"
 OUTCOME_STALLED = "stalled"
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """The set of currently blue vertices; everything else is white."""
 
     blue: frozenset[int] = frozenset()
@@ -39,8 +38,7 @@ class Coloring:
         return cls(frozenset(vertices))
 
 
-@dataclass(frozen=True)
-class ForceEvent:
+class ForceEvent(NamedTuple):
     """A single force: `forcer` colored `forced` during round `round`."""
 
     forcer: int
@@ -48,8 +46,7 @@ class ForceEvent:
     round: int
 
 
-@dataclass(frozen=True)
-class PropagationTrace:
+class PropagationTrace(NamedTuple):
     """Full record of one propagation run.
 
     `rounds[t]` holds every force event of round t+1, including multiple

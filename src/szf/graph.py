@@ -7,9 +7,9 @@ validate loop-freedom and adjacency symmetry.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 import math
+from typing import NamedTuple
 
 __all__ = [
     "Graph",
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple("_GraphFields", [("n", int), ("adj", tuple[frozenset[int], ...])])):
     """A finite simple undirected graph.
 
     Attributes
@@ -40,10 +39,9 @@ class Graph:
         adj[v] is the neighbor set of v. No loops, symmetric.
     """
 
-    n: int
-    adj: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
+    # No __slots__: the instance dict holds the cached bit_adjacency.
+    def __new__(cls, n, adj):
+        self = super().__new__(cls, n, adj)
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         if len(self.adj) != self.n:
@@ -56,6 +54,9 @@ class Graph:
                     raise ValueError(f"neighbor {u} of vertex {v} out of range")
                 if v not in self.adj[u]:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     @property
     def vertices(self) -> range:

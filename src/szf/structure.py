@@ -14,8 +14,8 @@ read from the same bit-set components of `Graph.bit_adjacency` that the
 decomposition walks.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import Graph, _bit_components, from_edge_list, induced_subgraph
 
@@ -33,18 +33,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CotreeLeaf:
+class CotreeLeaf(NamedTuple):
     vertex: int
 
 
-@dataclass(frozen=True)
-class CotreeNode:
+class CotreeNode(NamedTuple):
     op: str  # "union" | "join"
     left: "CotreeLeaf | CotreeNode"
     right: "CotreeLeaf | CotreeNode"
 
-    # The generated methods recurse, and a cotree can be as deep as its order.
+    # The tuple methods recurse, and a cotree can be as deep as its order.
     def __repr__(self):
         out, stack = [], [self]
         while stack:
@@ -215,8 +213,7 @@ def recognize_corona_k1(g: Graph):
     return induced_subgraph(g, members), r
 
 
-@dataclass(frozen=True)
-class ExtremeClassification:
+class ExtremeClassification(NamedTuple):
     """Predicted throttling class with a re-checkable structured witness."""
 
     label: str  # th_equals_1 | th_equals_2 | th_equals_n_minus_1 | th_equals_n | interior

@@ -18,8 +18,8 @@ tie the best still count in per_k, while only a smaller value replaces
 the witness.
 """
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .graph import Graph
 
@@ -35,8 +35,7 @@ __all__ = [
 LANE_CAP = 4096  # most lanes in one batch: bounds the width of each integer
 
 
-@dataclass(frozen=True)
-class ThrottleResult:
+class ThrottleResult(NamedTuple):
     """Optimal throttling data with a canonical witness.
 
     per_k maps k to the optimal |S| + pt over sets of size k for every k

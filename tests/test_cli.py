@@ -309,7 +309,7 @@ class RecordingPool:
 @pytest.mark.parametrize("orders,requested", [("2..3", [2]), ("2..2", [])])
 def test_verify_jobs_asks_for_no_more_workers_than_instances(
         capsys, monkeypatch, orders, requested):
-    monkeypatch.setattr(szf.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "requested", [])
     code, _, _ = run_cli(capsys, "verify", "--campaign", "hypercubes", "--n", orders,
                          "--jobs", "64")
