@@ -49,14 +49,10 @@ def cycle(n: int) -> Graph:
 
 
 def complete(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
     return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def empty(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
     return from_edge_list(n, [])
 
 

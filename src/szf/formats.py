@@ -104,6 +104,11 @@ def from_graph6(text: str) -> Graph:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list text format."""
+    return from_edge_list(*_edge_list(text))
+
+
+def _edge_list(text: str):
+    """(n, edges) as declared by edge-list text, before any graph is built."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -126,7 +131,7 @@ def parse_edge_list(text: str) -> Graph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ValueError(f"non-integer edge line {ln!r}") from None
-    return from_edge_list(n, edges)
+    return n, edges
 
 
 def format_edge_list(g: Graph) -> str:

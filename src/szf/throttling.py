@@ -11,11 +11,11 @@ completing in its first completing round.
 The reduction `_least` keeps, over the batches of one size, the first
 optimum in that order: each batch after a hit is budgeted to beat it.
 Sizes up to Z-(G) run without a round budget: the first size where it
-finds a set is Z-(G), and its value there is pt_minimum, where
-min_propagation_time stops. throttle goes on from Z-(G) + 1 while k is
-below the best value, budgeting size k to best - k rounds, so sizes that
-tie the best still count in per_k, while only a smaller value replaces
-the witness.
+finds a set is Z-(G), where skew_zero_forcing_number stops, and its value
+there is pt_minimum, where min_propagation_time stops. throttle goes on
+from Z-(G) + 1 while k is below the best value, budgeting size k to
+best - k rounds, so sizes that tie the best still count in per_k, while
+only a smaller value replaces the witness.
 """
 
 from math import comb
@@ -109,64 +109,55 @@ def _completions(adj, blue, full, budget=None):
             done = now
 
 
-class _Batches:
-    """The size-k subsets of one graph's vertices, as bit-sliced batches.
+_WORDS = {}  # (m, t) -> W(m, t), shared by every solve; each entry is set once
 
-    A run is a first node "prefix + every t-subset of s..n-1" of the
-    lexicographic subset tree with at most LANE_CAP lanes. A batch packs
-    consecutive runs up to LANE_CAP lanes.
-    """
 
-    def __init__(self, g: Graph):
-        self.n = g.n
-        self.adj = g.adj
-        self._rows = [[] for _ in range(g.n + 1)]  # rows[u][d] = W(d + u, u), filled on demand
-
-    def lane_words(self, m, t):
-        """W(m, t), the per-vertex lane words of the t-subsets of range(m): those
-        holding vertex 0 first, W(m - 1, t - 1), then the rest, W(m - 1, t)."""
-        rows = self._rows
-        for u, row in enumerate(rows[:t + 1]):
-            for d in range(len(row), m - t + 1):
-                if d and u:
-                    first = comb(d + u - 1, u - 1)
-                    row.append([(1 << first) - 1] + [
-                        a | b << first for a, b in zip(rows[u - 1][d], row[d - 1])])
-                else:  # one lane: everything (d = 0) or nothing (u = 0)
-                    row.append([int(d == 0)] * (d + u))
-        return rows[t][m - t]
-
-    def _packed(self, k):
-        """(per-vertex words, width) per batch, in lexicographic order."""
-        n = self.n
-        blue, width = [0] * n, 0
-        stack = [((), 0, k)]  # (prefix, s, t); children go on last-first
-        while stack:
-            prefix, s, t = stack.pop()
-            lanes = comb(n - s, t)
-            if lanes > LANE_CAP:
-                stack += [(prefix + (v,), v + 1, t - 1) for v in range(n - t, s - 1, -1)]
+def _lane_words(m, t):
+    """W(m, t), the per-vertex lane words of the t-subsets of range(m): those
+    holding vertex 0 first, W(m - 1, t - 1), then the rest, W(m - 1, t). Fills
+    the missing W(d + u, u), u <= t, d <= m - t, row by row, not recursively;
+    none has more lanes than W(m, t)."""
+    if (m, t) in _WORDS:
+        return _WORDS[m, t]
+    for u in range(t + 1):
+        for d in range(m - t + 1):
+            if (d + u, u) in _WORDS:
                 continue
-            if width + lanes > LANE_CAP:
-                yield blue, width
-                blue, width = [0] * n, 0
-            for v in prefix:
-                blue[v] |= ((1 << lanes) - 1) << width
-            for v, w in enumerate(self.lane_words(n - s, t), s):
-                blue[v] |= w << width
-            width += lanes
-        yield blue, width
+            if d and u:
+                first = comb(d + u - 1, u - 1)
+                words = ((1 << first) - 1,) + tuple(a | b << first for a, b in zip(
+                    _WORDS[d + u - 1, u - 1], _WORDS[d + u - 1, u]))
+            else:  # one lane: everything (d = 0) or nothing (u = 0)
+                words = (int(d == 0),) * (d + u)
+            _WORDS.setdefault((d + u, u), words)
+    return _WORDS[m, t]
 
 
-def skew_zero_forcing_number(g: Graph) -> int:
-    """Least k such that some size-k set forces the whole graph; may be 0."""
-    batches = _Batches(g)
-    return next(k for k in range(g.n + 1) if any(
-        next(_completions(g.adj, blue, (1 << width) - 1), None)
-        for blue, width in batches._packed(k)))
+def _batches(n, k):
+    """The size-k subsets of range(n) as (per-vertex words, width) batches in
+    lexicographic order. A run is a first node "prefix + every t-subset of
+    s..n-1" of the lexicographic subset tree with at most LANE_CAP lanes; a
+    batch packs consecutive runs up to LANE_CAP lanes."""
+    blue, width = [0] * n, 0
+    stack = [((), 0, k)]  # (prefix, s, t); children go on last-first
+    while stack:
+        prefix, s, t = stack.pop()
+        lanes = comb(n - s, t)
+        if lanes > LANE_CAP:
+            stack += [(prefix + (v,), v + 1, t - 1) for v in range(n - t, s - 1, -1)]
+            continue
+        if width + lanes > LANE_CAP:
+            yield blue, width
+            blue, width = [0] * n, 0
+        for v in prefix:
+            blue[v] |= ((1 << lanes) - 1) << width
+        for v, w in enumerate(_lane_words(n - s, t), s):
+            blue[v] |= w << width
+        width += lanes
+    yield blue, width
 
 
-def _least(batches, k, limit=None):
+def _least(g, k, limit=None):
     """(pt, subset) for the first size-k set in lexicographic order with the
     least propagation time within `limit` rounds, or None.
 
@@ -174,8 +165,8 @@ def _least(batches, k, limit=None):
     completing round; each batch after a hit is budgeted to beat it.
     """
     least = None
-    for blue, width in batches._packed(k):
-        hit = next(_completions(batches.adj, blue, (1 << width) - 1, limit), None)
+    for blue, width in _batches(g.n, k):
+        hit = next(_completions(g.adj, blue, (1 << width) - 1, limit), None)
         if hit is not None:
             pt, lanes = hit
             lane = (lanes & -lanes).bit_length() - 1
@@ -184,14 +175,19 @@ def _least(batches, k, limit=None):
     return least
 
 
-def _first_forcing(batches):
+def _first_forcing(g):
     """(Z-(G), pt, subset): the first size with a forcing set, and _least there."""
-    return next((k, *hit) for k in range(batches.n + 1) if (hit := _least(batches, k)))
+    return next((k, *hit) for k in range(g.n + 1) if (hit := _least(g, k)))
+
+
+def skew_zero_forcing_number(g: Graph) -> int:
+    """Least k such that some size-k set forces the whole graph; may be 0."""
+    return _first_forcing(g)[0]
 
 
 def min_propagation_time(g: Graph) -> int:
     """Minimum propagation time over minimum skew forcing sets."""
-    return _first_forcing(_Batches(g))[1]
+    return _first_forcing(g)[1]
 
 
 def throttling_at_k(g: Graph, k: int) -> int | None:
@@ -201,19 +197,18 @@ def throttling_at_k(g: Graph, k: int) -> int | None:
     """
     if not 0 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
-    hit = _least(_Batches(g), k)
+    hit = _least(g, k)
     return None if hit is None else k + hit[0]
 
 
 def throttle(g: Graph) -> ThrottleResult:
     """Globally optimal skew throttling with the canonical witness."""
-    batches = _Batches(g)
-    z, ptm, witness = _first_forcing(batches)
+    z, ptm, witness = _first_forcing(g)
     best = z + ptm
     per_k = {z: best}
     k = z + 1
     while k < best:
-        hit = _least(batches, k, best - k)
+        hit = _least(g, k, best - k)
         if hit is not None:
             pt, subset = hit
             per_k[k] = k + pt

@@ -113,6 +113,34 @@ def test_compute_max_n_guard(capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("compute",), "graph order 100000 exceeds the limit 26 (set --max-n or SZF_MAX_N)"),
+    (("classify", "--check"), "graph order 100000 exceeds the limit 26 for --check"),
+], ids=["compute", "classify-check"])
+def test_declared_edge_list_order_is_guarded_before_the_graph_is_built(
+        capsys, monkeypatch, argv, message):
+    import io
+    built = []
+
+    def spy(n, edges):
+        built.append(n)
+        raise AssertionError(f"a graph of order {n} was built")
+
+    for module in ("szf.cli", "szf.formats", "szf.graph"):
+        monkeypatch.setattr(f"{module}.from_edge_list", spy)
+    monkeypatch.setattr("sys.stdin", io.StringIO("100000 0\n"))
+    code, out, err = run_cli(capsys, *argv, "--format", "edgelist")
+    assert (code, out, err.strip(), built) == (3, "", message, [])
+
+
+def test_classify_without_check_has_no_order_guard(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO("30 0\n"))
+    code, out, _ = run_cli(capsys, "classify", "--format", "edgelist")
+    assert code == 0
+    assert json.loads(out)["value"] == 30
+
+
 def test_compute_max_n_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SZF_MAX_N", "30")
     code, out, _ = run_cli(capsys, "compute", "--family", "corona_k1(cycle:14)")

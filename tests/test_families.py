@@ -294,3 +294,11 @@ def test_family_spec_errors():
 def test_path_comes_from_cycle_deletion_identity(n):
     # The path value equals the cycle value on one more vertex, minus one.
     assert th_path_formula(n) == th_cycle_formula(n + 1) - 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: complete(-1), lambda: empty(-1), lambda: family_graph("complete:-1"),
+], ids=["complete", "empty", "family-spec"])
+def test_negative_order_is_rejected(build):
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        build()

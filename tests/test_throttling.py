@@ -1,4 +1,7 @@
+import sys
+import threading
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from szf import throttling
 from szf.forcing import propagate
 from szf.graph import from_edge_list
 from szf.throttling import (
-    LANE_CAP, _Batches, _completions, _least, min_propagation_time,
+    LANE_CAP, _completions, _lane_words, _least, min_propagation_time,
     skew_zero_forcing_number, throttle, throttle_with_bound, throttling_at_k,
 )
 
@@ -232,7 +235,7 @@ def test_kernel_lanes_match_scalar_propagate(n, seed, percent, data):
     expected = [propagate(g, s).pt for s in subsets]
     budget = data.draw(st.none() | st.integers(0, n))
     seen = {}
-    words = _Batches(g).lane_words(n, j)
+    words = _lane_words(n, j)
     for r, lanes in _completions(g.adj, words, (1 << len(subsets)) - 1, budget):
         for i in range(len(subsets)):
             if lanes >> i & 1:
@@ -252,21 +255,76 @@ def test_lowest_lane_of_the_first_completing_round_wins():
     best = min(pt for pt in pts if pt is not None)
     assert pts.count(best) > 1
     first = subsets[pts.index(best)]
-    assert _least(_Batches(g), 2) == (best, frozenset(first))
+    assert _least(g, 2) == (best, frozenset(first))
 
 
-def test_lane_word_table_matches_combinations():
-    # One table filled in ascending order, one in descending, so rows are
-    # extended both from scratch and on top of earlier requests.
-    rising, falling = _Batches(from_edge_list(10, [])), _Batches(from_edge_list(10, []))
+def combination_words(m, t):
+    """W(m, t) built from itertools.combinations: lane i is the i-th t-subset."""
+    words = [0] * m
+    for i, subset in enumerate(combinations(range(m), t)):
+        for v in subset:
+            words[v] |= 1 << i
+    return tuple(words)
+
+
+def test_lane_word_table_matches_combinations(monkeypatch):
+    # The shared table is emptied before each fill order, ascending and then
+    # descending, so rows are extended both from scratch and on top of
+    # earlier requests.
     pairs = [(m, t) for m in range(11) for t in range(m + 1)]
-    for table, order in ((rising, pairs), (falling, pairs[::-1])):
+    for order in (pairs, pairs[::-1]):
+        monkeypatch.setattr(throttling, "_WORDS", {})
         for m, t in order:
-            expected = [0] * m
-            for i, subset in enumerate(combinations(range(m), t)):
-                for v in subset:
-                    expected[v] |= 1 << i
-            assert table.lane_words(m, t) == expected, (m, t)
+            assert _lane_words(m, t) == combination_words(m, t), (m, t)
+
+
+def test_lane_word_table_fills_wide_rows_without_recursion(monkeypatch):
+    # W(1200, 1) extends row t = 1 by 1,200 entries in one request.
+    monkeypatch.setattr(throttling, "_WORDS", {})
+    assert throttling_at_k(star(1199), 1) is None
+
+
+def test_lane_word_table_is_consistent_after_concurrent_first_fills(monkeypatch):
+    # Four threads released together each fill a different large W(m, t)
+    # into an emptied table; their rectangles overlap, so they race on the
+    # same entries. A lost or misplaced update leaves a wrong stored entry.
+    requests = [(16, 4), (14, 6), (18, 3), (13, 5)]
+    expected = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            table = {}
+            monkeypatch.setattr(throttling, "_WORDS", table)
+            barrier = threading.Barrier(len(requests))
+
+            def fill(m, t):
+                barrier.wait()
+                _lane_words(m, t)
+
+            threads = [threading.Thread(target=fill, args=mt) for mt in requests]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert all(mt in table for mt in requests)
+            for mt, words in table.items():
+                if mt not in expected:
+                    expected[mt] = combination_words(*mt)
+                assert words == expected[mt], mt
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_lane_word_table_holds_only_batch_widths(monkeypatch):
+    table = {}
+    monkeypatch.setattr(throttling, "_WORDS", table)
+    throttle(family_graph("cycle:24"))
+    throttle(family_graph("star:20"))
+    assert table
+    assert all(comb(m, t) <= LANE_CAP for m, t in table)
+    assert all(type(words) is tuple for words in table.values())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -293,7 +351,7 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
         for k in range(n + 1):
             for limit in (None, rng.below(n + 1)):
                 recorded.clear()
-                least = _least(_Batches(g), k, limit)
+                least = _least(g, k, limit)
                 subsets = [s for lanes in recorded for s in lanes]
                 assert subsets == list(combinations(range(n), k))
                 assert all(len(lanes) <= cap for lanes in recorded)
