@@ -5,7 +5,8 @@ results go to stdout as JSON or CSV; diagnostics go to stderr. Exit codes
 are 0 (success), 1 (verification mismatch), 2 (parse failure), and 3
 (resource limit: order guard exceeded or an instance ran past the
 timeout). The order guard defaults to 26 and can be overridden with
---max-n or the SZF_MAX_N environment variable.
+--max-n or the SZF_MAX_N environment variable; a negative guard is a parse
+failure.
 
 Each verify campaign is one entry of CAMPAIGNS: a function from the parsed
 arguments to instance keys, and a function from a key to one CSV row. An
@@ -36,7 +37,7 @@ from .forcing import propagate
 from .formats import _edge_list, format_edge_list, from_graph6, to_graph6
 from .graph import Graph, components, diameter, from_edge_list, leaves, min_degree
 from .structure import classify_extremes
-from .throttling import _completions, throttle, throttle_with_bound
+from .throttling import throttle, throttle_with_bound
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -64,13 +65,17 @@ class VerificationRow(NamedTuple):
 
 
 def _max_n(args) -> int:
-    if args.max_n is not None:
-        return args.max_n
-    env = os.environ.get("SZF_MAX_N", str(DEFAULT_MAX_N))
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"SZF_MAX_N must be an integer, got {env!r}") from None
+    limit = args.max_n
+    if limit is None:
+        env = os.environ.get("SZF_MAX_N", str(DEFAULT_MAX_N))
+        try:
+            limit = int(env)
+        except ValueError:
+            raise ValueError(f"SZF_MAX_N must be an integer, got {env!r}") from None
+    if limit < 0:
+        raise ValueError(f"the order limit (--max-n or SZF_MAX_N) must be at least 0, "
+                         f"got {limit}")
+    return limit
 
 
 def _input_text(args) -> str:
@@ -184,33 +189,20 @@ def _corona_base_graph(seed: int) -> Graph:
 
 
 def _all_graphs_stats(n: int):
-    """Classifier vs brute-force disagreement count over all labeled graphs
-    of order n.
+    """Classifier vs solver disagreement count over all labeled graphs of
+    order n.
 
     The classifier's label and th are isomorphism invariants, so each class
     from `canon.graph_classes` is checked once, on its representative, and
     counts for its n!/|Aut| labeled graphs. Those counts must add up to
-    2^C(n,2); a RuntimeError says they do not. The brute force runs one
-    batch whose lane i is the vertex subset with bit mask i, without a
-    budget: th is the least round r plus the smallest size among the lanes
-    that first complete in round r. It keeps this brute force rather than
-    calling `throttle`, which needs the witness order and so runs a batch
-    per size: over the 208 representatives of orders 1-6 the one batch
-    takes about half the time (4-7 ms against 8-13 ms on one core).
+    2^C(n,2); a RuntimeError says they do not.
     """
-    lanes = 1 << n
-    full = (1 << lanes) - 1
-    blue = [sum(1 << i for i in range(lanes) if i >> v & 1) for v in range(n)]
-    by_size = [sum(1 << i for i in range(lanes) if i.bit_count() == t)
-               for t in range(n + 1)]
     mismatches = labeled = 0
     for rows, aut in graph_classes(n):
         copies = math.factorial(n) // aut
         labeled += copies
         g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1])
-        best = min(r + next(t for t, sized in enumerate(by_size) if done & sized)
-                   for r, done in _completions(g.adj, blue, full))
-        if not _agrees(classify_extremes(g), best, n):
+        if not _agrees(classify_extremes(g), throttle(g).th, n):
             mismatches += copies
     if labeled != 1 << math.comb(n, 2):
         raise RuntimeError(f"the classes of order {n} count {labeled} labeled graphs, "

@@ -6,7 +6,9 @@ order is the canonical witness. Subsets are propagated in bit-sliced
 batches (Biham, "A fast new DES implementation in software", FSE 1997) that
 pack runs "prefix + every t-subset of s..n-1" side by side. A batch is one
 contiguous range of that order, so its first optimum is the lowest lane
-completing in its first completing round.
+completing in its first completing round. The kernel, `_first_completion`,
+stops at that round and returns it with the lanes that complete in it, or
+None when the batch stalls or runs out of its round budget first.
 
 The reduction `_least` keeps, over the batches of one size, the first
 optimum in that order: each batch after a hit is budgeted to beat it.
@@ -64,23 +66,23 @@ class ThrottleResult(NamedTuple):
         }
 
 
-def _completions(adj, blue, full, budget=None):
-    """Propagate every lane of a batch at once.
+def _first_completion(adj, blue, full, budget=None):
+    """Propagate every lane of a batch at once, up to its first completion.
 
     adj[v] iterates the neighbours of v; blue[v] has lane i set when v is
-    blue in subset i, and full has every lane set. Yields (round, lanes)
-    for each round in which some lanes first become entirely blue, round 0
-    included. Ends when no lane makes progress or after `budget` productive
-    rounds. The caller's blue list is not modified.
+    blue in subset i, and full has every lane set. Returns (round, lanes)
+    for the first round, round 0 included, in which some lanes are entirely
+    blue, or None when no lane makes progress, or when `budget` productive
+    rounds pass without a completion. The caller's blue list is not modified.
     """
     blue = list(blue)
     done = full
     for b in blue:
         done &= b
-    if done:
-        yield 0, done
     rounds = 0
-    while budget is None or rounds < budget:
+    while not done:
+        if budget is not None and rounds >= budget:
+            return None
         white = [full ^ b for b in blue]
         exactly_one = []
         for nb in adj:
@@ -92,7 +94,7 @@ def _completions(adj, blue, full, budget=None):
                 ones |= x
             exactly_one.append(ones ^ twos)  # twos is a subset of ones
         progress = 0
-        now = full
+        done = full
         for v, nb in enumerate(adj):
             hit = 0
             for u in nb:
@@ -100,13 +102,11 @@ def _completions(adj, blue, full, budget=None):
             forced = white[v] & hit
             progress |= forced
             blue[v] |= forced
-            now &= blue[v]
+            done &= blue[v]
         if not progress:
-            return
+            return None
         rounds += 1
-        if now != done:
-            yield rounds, now ^ done
-            done = now
+    return rounds, done
 
 
 _WORDS = {}  # (m, t) -> W(m, t), shared by every solve; each entry is set once
@@ -166,8 +166,7 @@ def _least(g, k, limit=None):
     """
     least = None
     for blue, width in _batches(g.n, k):
-        hit = next(_completions(g.adj, blue, (1 << width) - 1, limit), None)
-        if hit is not None:
+        if hit := _first_completion(g.adj, blue, (1 << width) - 1, limit):
             pt, lanes = hit
             lane = (lanes & -lanes).bit_length() - 1
             least = pt, frozenset(v for v, b in enumerate(blue) if b >> lane & 1)

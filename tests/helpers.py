@@ -12,7 +12,6 @@ from szf.cli import _agrees
 from szf.graph import Graph, from_edge_list
 from szf.families import SplitMix64
 from szf.structure import classify_extremes
-from szf.throttling import _completions
 
 
 def simple_propagation_rounds(g: Graph, blue_set):
@@ -77,22 +76,10 @@ def all_graphs(n: int):
 def labeled_extremes_mismatches(n: int, classify=classify_extremes):
     """The `extremes` campaign count for order n, one labeled graph at a time.
 
-    The brute force runs one batch whose lane i is the vertex subset with
-    bit mask i, without a budget: th is the least round r plus the smallest
-    size among the lanes that first complete in round r.
+    th comes from the scalar oracle `brute_force_table`, which shares no
+    code with the solver's kernel or search.
     """
-    lanes = 1 << n
-    full = (1 << lanes) - 1
-    blue = [sum(1 << i for i in range(lanes) if i >> v & 1) for v in range(n)]
-    by_size = [sum(1 << i for i in range(lanes) if i.bit_count() == t)
-               for t in range(n + 1)]
-    mismatches = 0
-    for g in all_graphs(n):
-        best = min(r + next(t for t, sized in enumerate(by_size) if done & sized)
-                   for r, done in _completions(g.adj, blue, full))
-        if not _agrees(classify(g), best, n):
-            mismatches += 1
-    return mismatches
+    return sum(not _agrees(classify(g), brute_force_table(g)[0], n) for g in all_graphs(n))
 
 
 def random_graph(n: int, seed: int, percent: int = 50) -> Graph:

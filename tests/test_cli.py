@@ -133,6 +133,28 @@ def test_declared_edge_list_order_is_guarded_before_the_graph_is_built(
     assert (code, out, err.strip(), built) == (3, "", message, [])
 
 
+@pytest.mark.parametrize("argv", [("compute",), ("classify", "--check")],
+                         ids=["compute", "classify-check"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_order_guard_is_a_parse_failure(capsys, monkeypatch, argv, source):
+    if source == "flag":
+        argv += ("--max-n", "-5")
+        limit = -5
+    else:
+        monkeypatch.setenv("SZF_MAX_N", "-1")
+        limit = -1
+    code, out, err = run_cli(capsys, *argv, "--family", "path:3")
+    assert (code, out, err.strip()) == (
+        2, "", f"error: the order limit (--max-n or SZF_MAX_N) must be at least 0, got {limit}")
+
+
+def test_order_guard_zero_admits_only_the_empty_graph(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--family", "empty:0", "--max-n", "0")
+    assert code == 0 and json.loads(out)["th"] == 0
+    code, out, err = run_cli(capsys, "compute", "--family", "path:3", "--max-n", "0")
+    assert (code, out) == (3, "") and "exceeds the limit 0" in err
+
+
 def test_classify_without_check_has_no_order_guard(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("30 0\n"))

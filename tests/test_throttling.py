@@ -15,7 +15,7 @@ from szf import throttling
 from szf.forcing import propagate
 from szf.graph import from_edge_list
 from szf.throttling import (
-    LANE_CAP, _completions, _lane_words, _least, min_propagation_time,
+    LANE_CAP, _first_completion, _lane_words, _least, min_propagation_time,
     skew_zero_forcing_number, throttle, throttle_with_bound, throttling_at_k,
 )
 
@@ -232,20 +232,50 @@ def test_kernel_lanes_match_scalar_propagate(n, seed, percent, data):
     g = random_graph(n, seed, percent)
     j = data.draw(st.integers(0, n))
     subsets = list(combinations(range(n), j))
-    expected = [propagate(g, s).pt for s in subsets]
     budget = data.draw(st.none() | st.integers(0, n))
-    seen = {}
-    words = _lane_words(n, j)
-    for r, lanes in _completions(g.adj, words, (1 << len(subsets)) - 1, budget):
-        for i in range(len(subsets)):
-            if lanes >> i & 1:
-                assert i not in seen
-                seen[i] = r
     # Lane i is the i-th j-subset in lexicographic order; a lane that stalls
-    # (pt None) never completes, and a budget hides only later completions.
-    assert [seen.get(i) for i in range(len(subsets))] == [
-        pt if pt is not None and (budget is None or pt <= budget) else None
-        for pt in expected]
+    # (pt None) never completes, and a budget hides later completions.
+    pts = [propagate(g, s).pt for s in subsets]
+    expected = [pt if pt is not None and (budget is None or pt <= budget) else None
+                for pt in pts]
+    words = _lane_words(n, j)
+    for i, pt in enumerate(expected):
+        alone = _first_completion(g.adj, [w >> i & 1 for w in words], 1, budget)
+        assert alone == (None if pt is None else (pt, 1)), (i, subsets[i])
+    # The whole batch reports the least round and every lane completing in it.
+    reached = [pt for pt in expected if pt is not None]
+    first = None
+    if reached:
+        least = min(reached)
+        first = least, sum(1 << i for i, pt in enumerate(expected) if pt == least)
+    assert _first_completion(g.adj, words, (1 << len(subsets)) - 1, budget) == first
+
+
+def test_kernel_reports_a_lane_complete_at_round_zero_under_budget_zero():
+    g = path(3)
+    # Lane 0 is {0}, lane 1 is every vertex: only lane 1 is complete at round 0.
+    assert _first_completion(g.adj, [0b11, 0b10, 0b10], 0b11, 0) == (0, 0b10)
+    # Every 2-subset of P3 needs one round, so budget 0 admits none of them.
+    assert [propagate(g, s).pt for s in combinations(range(3), 2)] == [1, 1, 1]
+    assert _first_completion(g.adj, _lane_words(3, 2), 0b111, 0) is None
+    assert _first_completion(g.adj, _lane_words(3, 2), 0b111, 1) == (1, 0b111)
+
+
+def test_kernel_returns_none_when_every_lane_stalls():
+    g = cycle(4)
+    # Lanes {0, 2} and {1, 3}: each opposite pair of C4 forces nothing.
+    assert propagate(g, [0, 2]).pt is None and propagate(g, [1, 3]).pt is None
+    assert _first_completion(g.adj, [1, 2, 1, 2], 0b11) is None
+    assert _first_completion(g.adj, [1, 2, 1, 2], 0b11, 4) is None
+
+
+def test_kernel_returns_none_when_the_budget_cuts_before_a_completion():
+    g = path(6)
+    assert propagate(g, [0]).pt == 3
+    words = [1, 0, 0, 0, 0, 0]
+    assert _first_completion(g.adj, words, 1) == (3, 1)
+    assert _first_completion(g.adj, words, 1, 3) == (3, 1)
+    assert _first_completion(g.adj, words, 1, 2) is None
 
 
 def test_lowest_lane_of_the_first_completing_round_wins():
@@ -342,9 +372,9 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
         lanes = [tuple(v for v, b in enumerate(blue) if b >> i & 1)
                  for i in range(full.bit_length())]
         recorded.append(lanes)
-        return _completions(adj, blue, full, budget)
+        return _first_completion(adj, blue, full, budget)
 
-    monkeypatch.setattr(throttling, "_completions", recording)
+    monkeypatch.setattr(throttling, "_first_completion", recording)
     for cap in (3, 8, 16):
         monkeypatch.setattr(throttling, "LANE_CAP", cap)
         batch_counts = []
@@ -377,9 +407,9 @@ def test_high_z_graphs_run_many_full_batches_at_the_real_cap(monkeypatch, spec):
 
     def counting(adj, blue, full, budget=None):
         widths.append(full.bit_length())
-        return _completions(adj, blue, full, budget)
+        return _first_completion(adj, blue, full, budget)
 
-    monkeypatch.setattr(throttling, "_completions", counting)
+    monkeypatch.setattr(throttling, "_first_completion", counting)
     r = throttle(g)
     assert r.th == g.n - 1  # the value n - 1 of the paper's characterization
     assert (r.z_minus, r.pt_minimum) == (g.n - 2, 1)
