@@ -1,14 +1,20 @@
 """Canonical forms and isomorphism classes of small graphs.
 
-The canonical form is colour refinement plus individualization (McKay &
-Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014),
-without automorphism pruning. Every node of the search tree is an ordered
-partition of the vertices made equitable: every vertex of a cell has the
-same number of neighbours in each cell. A node whose partition is not
-discrete has one child per vertex of its first non-singleton cell, with
-that vertex split off in front of the cell. Each step depends on cell
-positions and neighbour counts only, so relabeling the graph relabels the
-tree, and Aut(G) permutes its leaves freely.
+Colour refinement plus individualization (McKay & Piperno, J. Symbolic
+Comput. 60, 2014): a node of the search tree is an equitable ordered
+partition, and a child splits one vertex of the first non-singleton cell
+off in front of it. Relabeling the graph relabels the tree.
+
+The first path takes the first vertex of each cell, down to the leaf zeta.
+A later leaf with zeta's code gives an automorphism (zeta's vertex at each
+position maps to the leaf's). It maps the first path's child, at the node
+where the two paths part, onto the later leaf's, so the rest of that child's
+subtree is an image of a searched one and is dropped; at a node of the first
+path, a child in the orbit of a searched child is skipped. Skipped leaves are
+images of searched ones, with the same codes, so the least code is unchanged.
+The automorphisms found below a node of the first path generate the
+stabilizer of the vertices above it, so |Aut(G)| is the product over those
+nodes of the first child's orbit length.
 
 Graphs are tuples of bit-set adjacency rows: bit u of rows[v] is set iff
 u and v are adjacent.
@@ -16,85 +22,119 @@ u and v are adjacent.
 
 
 def _refine(rows, cells, splitters):
-    """Refine the ordered partition `cells` until it is equitable.
-
-    Every cell is split by neighbour count into each splitter, its parts
-    kept in its place in ascending count order, and every new part becomes
-    a splitter. `splitters` are the bit sets the partition may not yet be
-    equitable against: all vertices for the unit partition, or the one
-    vertex just individualized out of an equitable partition.
-    """
+    """Split each cell of the ordered partition `cells` in place by neighbour
+    count into each splitter, in ascending count order, and queue the parts
+    as splitters, until the partition is equitable or discrete. `splitters`
+    are the vertex lists it may not yet be equitable against."""
     queue = list(splitters)
-    while queue:
-        splitter = queue.pop(0)
+    for splitter in queue:
+        if len(cells) == len(rows):
+            break
+        mask = sum(1 << v for v in splitter)
         out = []
         for cell in cells:
             if len(cell) > 1:
-                parts = {}
-                for v in cell:
-                    parts.setdefault((rows[v] & splitter).bit_count(), []).append(v)
-                if len(parts) > 1:
-                    for count in sorted(parts):
-                        out.append(parts[count])
-                        queue.append(sum(1 << v for v in parts[count]))
+                counts = [(rows[v] & mask).bit_count() for v in cell]
+                if min(counts) != max(counts):
+                    parts = [[v for v, c in zip(cell, counts) if c == k]
+                             for k in sorted(set(counts))]
+                    out += parts
+                    queue += parts
                     continue
             out.append(cell)
         cells = out
     return cells
 
 
+def _child(rows, cells, t, i):
+    """The node that splits the i-th vertex of cells[t] off in front of it."""
+    cell = cells[t]
+    return _refine(rows, cells[:t] + [cell[i:i + 1], cell[:i] + cell[i + 1:]] + cells[t + 1:],
+                   [cell[i:i + 1]])
+
+
+def _search(rows, n):
+    """(code, aut, generators) of the order-n graph with bit-set `rows`; the
+    generators, each a list mapping v to its image, generate Aut(G)."""
+    arcs = [(v, u) for v in range(n) for u in range(n) if rows[v] >> u & 1]
+
+    def code(order):
+        position = [0] * n
+        for i, v in enumerate(order):
+            position[v] = i
+        return sum(1 << n * position[v] + position[u] for v, u in arcs)
+
+    cells, path = _refine(rows, [list(range(n))] if n else [], [range(n)]), []
+    while len(cells) < n:
+        path.append((cells, next(t for t, c in enumerate(cells) if len(c) > 1)))
+        cells = _child(rows, *path[-1], 0)
+    zeta = [cell[0] for cell in cells]
+    best = first = code(zeta)
+    orbit, generators, aut = list(range(n)), [], 1
+    for cells, target in reversed(path):
+        searched = cells[target][:1]
+        for i, v in enumerate(cells[target]):
+            if any(orbit[v] == orbit[u] for u in searched):
+                continue
+            searched.append(v)
+            stack = [(cells, target, i)]
+            while stack:
+                node = _child(rows, *stack.pop())
+                if len(node) < n:
+                    t = next(t for t, c in enumerate(node) if len(c) > 1)
+                    stack += [(node, t, j) for j in reversed(range(len(node[t])))]
+                    continue
+                order = [cell[0] for cell in node]
+                if (leaf := code(order)) != first:
+                    best = min(best, leaf)
+                    continue
+                generators.append([b for _, b in sorted(zip(zeta, order))])
+                for a, b in enumerate(generators[-1]):
+                    if orbit[a] != orbit[b]:
+                        low, high = sorted((orbit[a], orbit[b]))
+                        orbit = [low if o == high else o for o in orbit]
+                break
+        aut *= sum(orbit[v] == orbit[searched[0]] for v in cells[target])
+    return best, aut, generators
+
+
 def canonical_form(rows, n: int):
     """(code, aut) of the order-n graph with bit-set adjacency `rows`.
 
-    `code` is the least relabeled adjacency over the leaves of the search
-    tree: the leaf that puts vertex v at position i gives, for i = 0..n-1,
-    the relabeled row of v at bits n*i..n*i+n-1. Isomorphic graphs, and
-    only those, get the same code. `aut` is the number of leaves reaching
-    `code`, which is |Aut(G)| since Aut(G) acts freely on the leaves and
-    two leaves give the same code only through an automorphism.
+    `code` is the least relabeled adjacency over the leaves: bit n*i+j is
+    set iff the vertices a leaf puts at positions i and j are adjacent.
+    Isomorphic graphs, and only those, get the same code; `aut` is |Aut(G)|.
     """
-    best = aut = None
-    stack = [_refine(rows, [list(range(n))], [(1 << n) - 1])] if n else [[]]
-    while stack:
-        cells = stack.pop()
-        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
-        if target is None:
-            order = [cell[0] for cell in cells]
-            code = 0
-            for i, v in enumerate(order):
-                row = rows[v]
-                for j, u in enumerate(order):
-                    if row >> u & 1:
-                        code |= 1 << (n * i + j)
-            if best is None or code < best:
-                best, aut = code, 1
-            elif code == best:
-                aut += 1
-            continue
-        cell = cells[target]
-        for v in cell:
-            child = cells[:target] + [[v], [u for u in cell if u != v]] + cells[target + 1:]
-            stack.append(_refine(rows, child, [1 << v]))
-    return best, aut
+    return _search(rows, n)[:2]
 
 
 def graph_classes(n: int):
     """One (rows, aut) per isomorphism class of graphs of order n.
 
-    The classes of order m come from those of order m - 1: the new vertex
-    m - 1 gets each of the 2^(m-1) neighbourhoods, and the results are
-    deduplicated by canonical code. Each representative is the first graph
-    reached in its class, with the labels it grew with.
+    The classes of order m grow from those of order m - 1, deduplicated by
+    canonical code: vertex m - 1 gets the least neighbourhood in each orbit
+    of the parent's automorphisms. The rest of an orbit gives graphs that
+    are isomorphic to one grown before them from the same parent, so each
+    representative is the first graph reached in its class, as it grew.
     """
-    classes = {0: ((), 1)}
+    classes = {0: ((), 1, [])}
     for m in range(1, n + 1):
         grown = {}
-        for rows, _ in classes.values():
+        for rows, _, generators in classes.values():
+            tables = [[0] for _ in generators]
+            for table, perm in zip(tables, generators):
+                for v in range(m - 1):
+                    table += [image | 1 << perm[v] for image in table]
+            seen = set()
             for hood in range(1 << (m - 1)):
-                new = tuple(row | (hood >> v & 1) << (m - 1) for v, row in enumerate(rows))
-                new += (hood,)
-                code, aut = canonical_form(new, m)
-                if code not in grown:
-                    grown[code] = (new, aut)
+                if hood in seen:
+                    continue
+                images = [hood]
+                for h in images:
+                    images += [table[h] for table in tables if table[h] not in images]
+                seen.update(images)
+                new = (*(row | (hood >> v & 1) << (m - 1) for v, row in enumerate(rows)), hood)
+                code, aut, found = _search(new, m)
+                grown.setdefault(code, (new, aut, found))
         classes = grown
-    return list(classes.values())
+    return [(rows, aut) for rows, aut, _ in classes.values()]

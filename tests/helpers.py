@@ -140,3 +140,73 @@ def permutation_isomorphic(g1: Graph, g2: Graph) -> bool:
                 for u, v in g1.edges()} == e2:
             return True
     return False
+
+
+def _unpruned_refine(rows, cells, splitters):
+    """Colour refinement as `szf.canon._refine` defines it, without its
+    early stop: split every cell by neighbour count into each splitter
+    (bit sets, first in first out), parts in ascending count order, and
+    queue every new part."""
+    queue = list(splitters)
+    while queue:
+        splitter = queue.pop(0)
+        out = []
+        for cell in cells:
+            if len(cell) > 1:
+                parts = {}
+                for v in cell:
+                    parts.setdefault((rows[v] & splitter).bit_count(), []).append(v)
+                if len(parts) > 1:
+                    for count in sorted(parts):
+                        out.append(parts[count])
+                        queue.append(sum(1 << v for v in parts[count]))
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
+
+
+def unpruned_canonical_form(rows, n: int):
+    """Oracle for `szf.canon.canonical_form`: (least leaf code, number of
+    leaves reaching it) over every leaf of the unpruned search tree."""
+    best = aut = None
+    stack = [_unpruned_refine(rows, [list(range(n))], [(1 << n) - 1])] if n else [[]]
+    while stack:
+        cells = stack.pop()
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            order = [cell[0] for cell in cells]
+            code = 0
+            for i, v in enumerate(order):
+                row = rows[v]
+                for j, u in enumerate(order):
+                    if row >> u & 1:
+                        code |= 1 << (n * i + j)
+            if best is None or code < best:
+                best, aut = code, 1
+            elif code == best:
+                aut += 1
+            continue
+        cell = cells[target]
+        for v in cell:
+            child = cells[:target] + [[v], [u for u in cell if u != v]] + cells[target + 1:]
+            stack.append(_unpruned_refine(rows, child, [1 << v]))
+    return best, aut
+
+
+def unpruned_graph_classes(n: int):
+    """Oracle for `szf.canon.graph_classes`: grow every class of order m - 1
+    by all 2^(m-1) neighbourhoods of the new vertex and keep the first graph
+    reached per `unpruned_canonical_form` code."""
+    classes = {0: ((), 1)}
+    for m in range(1, n + 1):
+        grown = {}
+        for rows, _ in classes.values():
+            for hood in range(1 << (m - 1)):
+                new = tuple(row | (hood >> v & 1) << (m - 1) for v, row in enumerate(rows))
+                new += (hood,)
+                code, aut = unpruned_canonical_form(new, m)
+                if code not in grown:
+                    grown[code] = (new, aut)
+        classes = grown
+    return list(classes.values())

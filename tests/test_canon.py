@@ -3,11 +3,11 @@ from itertools import permutations
 
 import pytest
 
-from szf.canon import canonical_form, graph_classes
-from szf.families import SplitMix64, complete_multipartite, cycle, hypercube
+from szf.canon import _search, canonical_form, graph_classes
+from szf.families import SplitMix64, complete, complete_multipartite, cycle, hypercube
 from szf.graph import disjoint_union
 
-from helpers import random_graph
+from helpers import random_graph, unpruned_canonical_form, unpruned_graph_classes
 
 
 def relabel(rows, perm):
@@ -27,11 +27,15 @@ def splitmix_permutation(n, seed):
     return perm
 
 
+def is_automorphism(rows, perm):
+    return relabel(rows, perm) == tuple(rows)
+
+
 def test_class_counts_follow_oeis_a000088():
-    assert [len(graph_classes(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    assert [len(graph_classes(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(8))
 def test_class_weights_count_every_labeled_graph(n):
     assert sum(math.factorial(n) // aut for _, aut in graph_classes(n)) == 2 ** math.comb(n, 2)
 
@@ -53,17 +57,47 @@ def test_code_is_invariant_under_relabeling(n):
             assert canonical_form(relabel(rows, perm), n) == (code, aut)
 
 
-@pytest.mark.parametrize("g,order", [
+SYMMETRIC = [
     (cycle(9), 18), (hypercube(3), 48), (complete_multipartite([3, 3, 3]), 6 ** 4),
     # 2-regular, so refinement cannot tell a C6 vertex from a triangle
     # vertex: the tree has leaves that no automorphism relates.
     (disjoint_union(cycle(6), disjoint_union(cycle(3), cycle(3))), 12 * 72),
-])
+    # 10! and 24^5 leaves reach the code: too many for the unpruned search.
+    (complete(10), math.factorial(10)), (complete_multipartite([4, 4, 4, 4]), 24 ** 5),
+    (hypercube(4), 384), (cycle(24), 48),
+]
+
+
+@pytest.mark.parametrize("g,order", SYMMETRIC)
 def test_symmetric_graphs_keep_their_code_and_group_order(g, order):
-    code, aut = canonical_form(g.bit_adjacency, g.n)
+    code, aut, generators = _search(g.bit_adjacency, g.n)
     assert aut == order
+    assert all(is_automorphism(g.bit_adjacency, perm) for perm in generators)
+    # Each generator joins the orbit of a searched child to the first
+    # child's, so a search that abandons its subtree finds at most n - 1.
+    assert len(generators) <= g.n - 1
     perm = splitmix_permutation(g.n, 7)
     assert canonical_form(relabel(g.bit_adjacency, perm), g.n) == (code, aut)
+
+
+@pytest.mark.parametrize("g", [g for g, _ in SYMMETRIC[:4]])
+def test_pruned_form_matches_the_unpruned_oracle_on_symmetric_graphs(g):
+    assert canonical_form(g.bit_adjacency, g.n) == unpruned_canonical_form(g.bit_adjacency, g.n)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_pruned_form_matches_the_unpruned_oracle_on_every_class(n):
+    for rows, _ in graph_classes(n):
+        for seed in range(3):
+            relabeled = relabel(rows, splitmix_permutation(n, 31 * n + seed))
+            code, aut, generators = _search(relabeled, n)
+            assert (code, aut) == unpruned_canonical_form(relabeled, n), rows
+            assert all(is_automorphism(relabeled, perm) for perm in generators), rows
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_pruned_growth_matches_the_unpruned_oracle(n):
+    assert graph_classes(n) == unpruned_graph_classes(n)
 
 
 def test_code_separates_graphs_that_colour_refinement_cannot():
