@@ -226,22 +226,14 @@ def _corona_keys(args):
 
 
 def _corona_row(seed: int, variant: str):
-    """corona_k1 has th 2. corona_k2 has th at most |G|+1, and at most |G|
-    on the k2_leaves rows (bases with three or more leaves); its value is
-    exact up to order 15, else the hosts-only witness bound."""
+    """Exact th of a corona over a seeded base G: corona_k1 has th 2, corona_k2
+    at most |G|+1, or at most |G| on the k2_leaves rows (three or more leaves)."""
     base = _corona_base_graph(seed)
     spec = f"corona_{variant}(seed={seed})"
     if variant == "k1":
-        g = corona_k1(base)
-        computed = throttle(g).th
-        return spec, g.n, computed, 2, computed == 2
+        return _formula_row(spec, corona_k1(base), 2)
     g = corona_k2(base)
-    if g.n <= 15:
-        computed = throttle(g).th
-    else:
-        tr = propagate(g, range(base.n))
-        assert tr.completed
-        computed = base.n + tr.pt
+    computed = throttle(g).th
     predicted = base.n + 1 if variant == "k2" else base.n
     return spec, g.n, computed, predicted, computed <= predicted
 

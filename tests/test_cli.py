@@ -1,13 +1,16 @@
 import csv
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 import szf.cli
 from szf.canon import graph_classes
-from szf.cli import _all_graphs_stats, _formula_row, main
-from szf.families import cycle, friendship, h_graph
+from szf.cli import CAMPAIGNS, _all_graphs_stats, _corona_base_graph, _formula_row, main
+from szf.families import corona_k1, corona_k2, cycle, friendship, h_graph
 from szf.formats import format_edge_list, from_graph6, parse_edge_list, to_graph6
 from szf.forcing import is_skew_forcing_set, propagate
 from szf.graph import components
@@ -135,17 +138,19 @@ def test_declared_edge_list_order_is_guarded_before_the_graph_is_built(
 
 @pytest.mark.parametrize("argv", [("compute",), ("classify", "--check")],
                          ids=["compute", "classify-check"])
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_negative_order_guard_is_a_parse_failure(capsys, monkeypatch, argv, source):
+@pytest.mark.parametrize("source, limit, message", [
+    ("flag", "-5", "the order limit (--max-n or SZF_MAX_N) must be at least 0, got -5"),
+    ("env", "-1", "the order limit (--max-n or SZF_MAX_N) must be at least 0, got -1"),
+    ("env", "abc", "SZF_MAX_N must be an integer, got 'abc'"),
+], ids=["flag", "env", "env-text"])
+def test_negative_order_guard_is_a_parse_failure(capsys, monkeypatch, argv, source, limit,
+                                                 message):
     if source == "flag":
-        argv += ("--max-n", "-5")
-        limit = -5
+        argv += ("--max-n", limit)
     else:
-        monkeypatch.setenv("SZF_MAX_N", "-1")
-        limit = -1
+        monkeypatch.setenv("SZF_MAX_N", limit)
     code, out, err = run_cli(capsys, *argv, "--family", "path:3")
-    assert (code, out, err.strip()) == (
-        2, "", f"error: the order limit (--max-n or SZF_MAX_N) must be at least 0, got {limit}")
+    assert (code, out, err.strip()) == (2, "", f"error: {message}")
 
 
 def test_order_guard_zero_admits_only_the_empty_graph(capsys):
@@ -294,6 +299,29 @@ def test_verify_coronas_reports_shared_host_leaf_rows(capsys, tmp_path):
     assert by_spec["corona_k2_leaves(seed=7)"][4] == "false"
 
 
+def test_verify_coronas_rows_are_exact_throttling_numbers(capsys, tmp_path):
+    # Seeds 1..40 reach both branches of the base generator (trees on odd
+    # seeds, connected random graphs on even ones) and coronas up to order 24.
+    out_file = tmp_path / "coronas.csv"
+    run_cli(capsys, "verify", "--campaign", "coronas", "--seeds", "1..40",
+            "--output", str(out_file))
+    _, rows = read_rows(out_file)
+    assert len(rows) == 91
+    for spec, n, computed, _, _, _ in rows:
+        variant, seed = spec[len("corona_"):-1].split("(seed=")
+        base = _corona_base_graph(int(seed))
+        g = (corona_k1 if variant == "k1" else corona_k2)(base)
+        result = throttle(g)
+        assert (int(n), int(computed)) == (g.n, result.th), spec
+        trace = propagate(g, result.witness)
+        assert trace.completed and result.k + trace.pt == result.th, spec
+    by_spec = {r[0]: r[:5] for r in rows}
+    # Leaves 1 and 7 share support vertex 0, yet th = |G|; coloring only the
+    # base vertices takes 9.
+    assert by_spec["corona_k2_leaves(seed=17)"] == ["corona_k2_leaves(seed=17)", "24", "8",
+                                                    "8", "true"]
+
+
 def test_verify_unknown_campaign_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--campaign", "nonsense"])
@@ -315,26 +343,64 @@ def test_verify_small_campaigns_match_and_sort(capsys, tmp_path, campaign, flags
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("flags", [
-    ("--campaign", "cycles", "--n", "9..3"),
-    ("--campaign", "diameter-bound", "--seeds", "5..1"),
-    ("--campaign", "extremes", "--n-max", "0"),
-    ("--campaign", "cycles", "--n", "3..4", "--jobs", "0"),
-    ("--campaign", "cycles", "--n", "3..4", "--jobs", "-5"),
-    ("--campaign", "paths", "--n", "3..4", "--timeout-s", "nan"),
-    ("--campaign", "paths", "--n", "3..4", "--timeout-s", "0"),
-    ("--campaign", "paths", "--n", "3..4", "--timeout-s", "-1"),
-])
-def test_verify_empty_range_is_an_error(capsys, flags):
+BAD_VERIFY_FLAGS = [
+    (("--campaign", "cycles", "--n", "9..3"), "--n must look like A..B with A <= B"),
+    (("--campaign", "diameter-bound", "--seeds", "5..1"), "--seeds must look like A..B"),
+    (("--campaign", "extremes", "--n-max", "0"), "--n-max must be at least 1"),
+    (("--campaign", "cycles", "--n", "3..4", "--jobs", "0"), "--jobs must be at least 1"),
+    (("--campaign", "cycles", "--n", "3..4", "--jobs", "-5"), "--jobs must be at least 1"),
+    (("--campaign", "paths", "--n", "3..4", "--timeout-s", "nan"), "--timeout-s must be"),
+    (("--campaign", "paths", "--n", "3..4", "--timeout-s", "0"), "--timeout-s must be"),
+    (("--campaign", "paths", "--n", "3..4", "--timeout-s", "-1"), "--timeout-s must be"),
+    (("--campaign", "cycles", "--n", "a..b"), "--n must look like A..B with A <= B, got 'a..b'"),
+]
+
+
+@pytest.mark.parametrize("flags, message", [pytest.param(*case, id=f"flags{i}")
+                                            for i, case in enumerate(BAD_VERIFY_FLAGS)])
+def test_verify_empty_range_is_an_error(capsys, flags, message):
     code, out, err = run_cli(capsys, "verify", *flags)
     assert code == 2
-    assert err.startswith("error:") and out == ""
+    assert err.startswith(f"error: {message}") and out == ""
 
 
 def test_verify_infinite_timeout_is_no_limit(capsys):
     code, _, _ = run_cli(capsys, "verify", "--campaign", "paths", "--n", "3..4",
                          "--timeout-s", "inf")
     assert code == 0
+
+
+def test_verify_timeout_overrun_exits_3_after_writing_every_row(capsys, tmp_path):
+    # The order-6 row alone runs for tens of milliseconds, far past 1 ms.
+    out_file = tmp_path / "extremes.csv"
+    code, _, err = run_cli(capsys, "verify", "--campaign", "extremes", "--timeout-s", "0.001",
+                           "--output", str(out_file))
+    assert code == 3
+    assert "exceeded the 0.001s timeout" in err
+    _, rows = read_rows(out_file)
+    assert [r[0] for r in rows] == [f"extremes:n={n}" for n in range(1, 7)]
+
+
+DEFAULTS_RECORD = Path(__file__).with_name("verify_defaults.txt")
+
+
+def verify_defaults_record() -> str:
+    """Every campaign run at its default range: per campaign a '#' line with
+    the match summary and exit code, then its CSV lines without runtime_ms."""
+    lines = []
+    for campaign in CAMPAIGNS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--campaign", campaign])
+        summary = err.getvalue().splitlines()[0].rsplit(",", 1)[0]
+        lines.append(f"# {summary}, exit {code}")
+        lines += [line.rsplit(",", 1)[0] for line in out.getvalue().splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+def test_verify_default_campaigns_match_the_recorded_rows():
+    """Rewrite the record with `PYTHONPATH=src python3 tests/test_cli.py`."""
+    assert verify_defaults_record() == DEFAULTS_RECORD.read_text()
 
 
 class RecordingPool:
@@ -395,3 +461,7 @@ def test_extremes_row_raises_when_the_classes_miss_a_labeled_graph(monkeypatch):
     monkeypatch.setattr(szf.cli, "graph_classes", lambda n: graph_classes(n)[1:])
     with pytest.raises(RuntimeError, match="order 4"):
         _all_graphs_stats(4)
+
+
+if __name__ == "__main__":
+    DEFAULTS_RECORD.write_text(verify_defaults_record())
