@@ -16,6 +16,9 @@ The automorphisms found below a node of the first path generate the
 stabilizer of the vertices above it, so |Aut(G)| is the product over those
 nodes of the first child's orbit length.
 
+The classes of order m grow from those of order m - 1 by canonical
+augmentation (McKay, J. Algorithms 26, 1998), each class exactly once.
+
 Graphs are tuples of bit-set adjacency rows: bit u of rows[v] is set iff
 u and v are adjacent.
 """
@@ -54,8 +57,10 @@ def _child(rows, cells, t, i):
 
 
 def _search(rows, n):
-    """(code, aut, generators) of the order-n graph with bit-set `rows`; the
-    generators, each a list mapping v to its image, generate Aut(G)."""
+    """(code, aut, generators, orbit, order) of the order-n graph with bit-set
+    `rows`. The generators, each a list mapping v to its image, generate
+    Aut(G); orbit[v] is the least vertex of v's orbit; `order` lists the
+    vertices by their position in the leaf that gives `code`."""
     arcs = [(v, u) for v in range(n) for u in range(n) if rows[v] >> u & 1]
 
     def code(order):
@@ -69,7 +74,8 @@ def _search(rows, n):
         path.append((cells, next(t for t, c in enumerate(cells) if len(c) > 1)))
         cells = _child(rows, *path[-1], 0)
     zeta = [cell[0] for cell in cells]
-    best = first = code(zeta)
+    first = code(zeta)
+    best = (first, zeta)
     orbit, generators, aut = list(range(n)), [], 1
     for cells, target in reversed(path):
         searched = cells[target][:1]
@@ -86,7 +92,7 @@ def _search(rows, n):
                     continue
                 order = [cell[0] for cell in node]
                 if (leaf := code(order)) != first:
-                    best = min(best, leaf)
+                    best = min(best, (leaf, order))
                     continue
                 generators.append([b for _, b in sorted(zip(zeta, order))])
                 for a, b in enumerate(generators[-1]):
@@ -95,7 +101,7 @@ def _search(rows, n):
                         orbit = [low if o == high else o for o in orbit]
                 break
         aut *= sum(orbit[v] == orbit[searched[0]] for v in cells[target])
-    return best, aut, generators
+    return best[0], aut, generators, orbit, best[1]
 
 
 def canonical_form(rows, n: int):
@@ -111,16 +117,17 @@ def canonical_form(rows, n: int):
 def graph_classes(n: int):
     """One (rows, aut) per isomorphism class of graphs of order n.
 
-    The classes of order m grow from those of order m - 1, deduplicated by
-    canonical code: vertex m - 1 gets the least neighbourhood in each orbit
-    of the parent's automorphisms. The rest of an orbit gives graphs that
-    are isomorphic to one grown before them from the same parent, so each
-    representative is the first graph reached in its class, as it grew.
+    Vertex m - 1 gets the least neighbourhood in each orbit of the parent's
+    automorphisms. The child is kept iff m - 1 is in the orbit of its
+    deletion vertex, the first of the canonical order with the greatest
+    (degree, sum of the neighbours' degrees), so each class is kept once,
+    grown from the class that deleting that vertex leaves. Most other
+    children lack the greatest pair at m - 1 and are never searched.
     """
-    classes = {0: ((), 1, [])}
+    classes = [((), 1, [])]
     for m in range(1, n + 1):
-        grown = {}
-        for rows, _, generators in classes.values():
+        grown = []
+        for rows, _, generators in classes:
             tables = [[0] for _ in generators]
             for table, perm in zip(tables, generators):
                 for v in range(m - 1):
@@ -134,7 +141,15 @@ def graph_classes(n: int):
                     images += [table[h] for table in tables if table[h] not in images]
                 seen.update(images)
                 new = (*(row | (hood >> v & 1) << (m - 1) for v, row in enumerate(rows)), hood)
-                code, aut, found = _search(new, m)
-                grown.setdefault(code, (new, aut, found))
+                degree = [row.bit_count() for row in new]
+                if degree[-1] < max(degree):
+                    continue
+                pair = [(d, sum(degree[u] for u in range(m) if row >> u & 1))
+                        for d, row in zip(degree, new)]
+                if pair[-1] < max(pair):
+                    continue
+                _, aut, found, orbit, order = _search(new, m)
+                if orbit[m - 1] == orbit[next(v for v in order if pair[v] == pair[-1])]:
+                    grown.append((new, aut, found))
         classes = grown
-    return [(rows, aut) for rows, aut, _ in classes.values()]
+    return [(rows, aut) for rows, aut, _ in classes]

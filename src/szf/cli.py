@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .canon import graph_classes
 from .families import (
-    SplitMix64, cycle, family_graph, gadget_family, hypercube,
+    SplitMix64, _family, cycle, family_graph, gadget_family, hypercube,
     paired_blue_witness, path, random_gadget_spec, spider,
     corona_k1, corona_k2, diameter_bound_holds, diameter_lower_bound,
     th_cycle_formula, th_hypercube_formula, th_path_formula, th_spider_formula,
@@ -90,9 +90,12 @@ def _input_text(args) -> str:
 
 def _load_graph(args, limit=math.inf) -> tuple[int, Graph | None]:
     """(order, graph) of the input; the graph is None when the order is above
-    `limit`, and an edge list that declares such an order is never built."""
+    `limit`, and a family spec or edge list of such an order is never built."""
     if getattr(args, "family", None):
-        g = family_graph(args.family)
+        n, build = _family(args.family)
+        if n > limit:
+            return n, None
+        g = build()
     elif args.format == "graph6":
         g = from_graph6(_input_text(args))
     else:

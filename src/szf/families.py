@@ -382,11 +382,25 @@ def family_graph(spec: str) -> Graph:
     and corona_k2(SPEC) wrap any other spec. gadget_cycle:L,seed and
     gadget_path:L,seed draw seeded attachments.
     """
+    return _family(spec)[1]()
+
+
+def _gadget(base: str):
+    """The (arity, order, build) entry of the seeded gadget family on `base`."""
+    return (2, lambda length, seed: random_gadget_spec(base, length, seed).order,
+            lambda length, seed: gadget_family(random_gadget_spec(base, length, seed)))
+
+
+def _family(spec: str):
+    """(order, build) of a family spec: the order of its graph, computed from
+    the parameters without building anything, and a function that builds
+    the graph. Parameters out of a builder's range raise only from build."""
     text = spec.strip()
     m = _CORONA_RE.match(text)
     if m:
-        inner = family_graph(m.group(2))
-        return corona_k1(inner) if m.group(1) == "1" else corona_k2(inner)
+        order, inner = _family(m.group(2))
+        wrap = corona_k1 if m.group(1) == "1" else corona_k2
+        return order * (1 + int(m.group(1))), lambda: wrap(inner())
     name, _, arg_text = text.partition(":")
     name = name.strip()
     try:
@@ -397,20 +411,21 @@ def family_graph(spec: str) -> Graph:
     if name == "complete_multipartite":
         if not args:
             raise ValueError("complete_multipartite needs at least one part")
-        return complete_multipartite(args)
-    builders = {
-        "path": (1, path), "cycle": (1, cycle), "complete": (1, complete),
-        "empty": (1, empty), "star": (1, star), "matching": (1, matching),
-        "hypercube": (1, hypercube), "friendship": (1, friendship),
-        "spider": (2, spider), "h": (3, h_graph), "h_graph": (3, h_graph),
-        "gadget_cycle": (2, lambda length, seed: gadget_family(
-            random_gadget_spec("cycle", length, seed))),
-        "gadget_path": (2, lambda length, seed: gadget_family(
-            random_gadget_spec("path", length, seed))),
+        return sum(args), lambda: complete_multipartite(args)
+    builders = {  # name: (arity, order, build)
+        "path": (1, lambda n: n, path), "cycle": (1, lambda n: n, cycle),
+        "complete": (1, lambda n: n, complete), "empty": (1, lambda n: n, empty),
+        "star": (1, lambda p: p + 1, star),
+        "matching": (1, lambda r: 2 * r, matching), "hypercube": (1, lambda d: 2 ** d, hypercube),
+        "friendship": (1, lambda t: 2 * t + 1, friendship),
+        "spider": (2, lambda p, leg: p * leg + 1, spider),
+        "h": (3, lambda s, t, r: 1 + 2 * (s + t + r), h_graph),
+        "h_graph": (3, lambda s, t, r: 1 + 2 * (s + t + r), h_graph),
+        "gadget_cycle": _gadget("cycle"), "gadget_path": _gadget("path"),
     }
     if name not in builders:
         raise ValueError(f"unknown family {name!r}")
-    arity, build = builders[name]
+    arity, order, build = builders[name]
     if len(args) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(args)}")
-    return build(*args)
+    return order(*args), lambda: build(*args)

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -31,13 +32,18 @@ def is_automorphism(rows, perm):
     return relabel(rows, perm) == tuple(rows)
 
 
+# Growing order 8 takes seconds; the tests that read it share one growth.
+cached_classes = lru_cache(graph_classes)
+
+
 def test_class_counts_follow_oeis_a000088():
-    assert [len(graph_classes(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    assert ([len(cached_classes(n)) for n in range(1, 9)]
+            == [1, 2, 4, 11, 34, 156, 1044, 12346])
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(9))
 def test_class_weights_count_every_labeled_graph(n):
-    assert sum(math.factorial(n) // aut for _, aut in graph_classes(n)) == 2 ** math.comb(n, 2)
+    assert sum(math.factorial(n) // aut for _, aut in cached_classes(n)) == 2 ** math.comb(n, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -70,7 +76,7 @@ SYMMETRIC = [
 
 @pytest.mark.parametrize("g,order", SYMMETRIC)
 def test_symmetric_graphs_keep_their_code_and_group_order(g, order):
-    code, aut, generators = _search(g.bit_adjacency, g.n)
+    code, aut, generators, _, _ = _search(g.bit_adjacency, g.n)
     assert aut == order
     assert all(is_automorphism(g.bit_adjacency, perm) for perm in generators)
     # Each generator joins the orbit of a searched child to the first
@@ -90,14 +96,66 @@ def test_pruned_form_matches_the_unpruned_oracle_on_every_class(n):
     for rows, _ in graph_classes(n):
         for seed in range(3):
             relabeled = relabel(rows, splitmix_permutation(n, 31 * n + seed))
-            code, aut, generators = _search(relabeled, n)
+            code, aut, generators, _, _ = _search(relabeled, n)
             assert (code, aut) == unpruned_canonical_form(relabeled, n), rows
             assert all(is_automorphism(relabeled, perm) for perm in generators), rows
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_pruned_growth_matches_the_unpruned_oracle(n):
-    assert graph_classes(n) == unpruned_graph_classes(n)
+    # Each representative is the child that canonical augmentation keeps,
+    # not the first graph reached, so the classes are compared by code.
+    grown, oracle = graph_classes(n), unpruned_graph_classes(n)
+    assert len(grown) == len(oracle)
+    assert ({unpruned_canonical_form(rows, n)[0]: aut for rows, aut in grown}
+            == {unpruned_canonical_form(rows, n)[0]: aut for rows, aut in oracle})
+
+
+def relabeled_code(rows, order):
+    """The adjacency bits of the graph relabeled by `order` (order[i] -> i)."""
+    canonical = relabel(rows, [order.index(v) for v in range(len(rows))])
+    return sum(row << len(rows) * i for i, row in enumerate(canonical))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_search_returns_the_orbits_and_the_canonical_order(n):
+    for classed, _ in unpruned_graph_classes(n):
+        for seed in range(3):
+            rows = relabel(classed, splitmix_permutation(n, 17 * n + seed))
+            code, _, _, orbit, order = _search(rows, n)
+            automorphisms = [p for p in permutations(range(n)) if is_automorphism(rows, p)]
+            assert orbit == [min(p[v] for p in automorphisms) for v in range(n)], rows
+            assert relabeled_code(rows, order) == code, rows
+
+
+def deletion_orbit(rows, n):
+    """The orbit of the vertex that `graph_classes` deletes: the first of the
+    canonical order with the greatest (degree, sum of neighbour degrees)."""
+    _, _, _, orbit, order = _search(rows, n)
+    degree = [row.bit_count() for row in rows]
+    pair = [(d, sum(degree[u] for u in range(n) if row >> u & 1)) for d, row in zip(degree, rows)]
+    chosen = next(v for v in order if pair[v] == max(pair))
+    return {v for v in range(n) if orbit[v] == orbit[chosen]}
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_deletion_orbit_follows_a_relabeling(n):
+    for seed in range(6):
+        rows = random_graph(n, 100 * n + seed, percent=15 + 14 * seed).bit_adjacency
+        orbit = deletion_orbit(rows, n)
+        for k in range(3):
+            perm = splitmix_permutation(n, 1000 * seed + k)
+            assert deletion_orbit(relabel(rows, perm), n) == {perm[v] for v in orbit}
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_graph_classes_keep_no_class_twice(n):
+    codes = set()
+    for rows, _ in cached_classes(n):
+        code, _, _, _, order = _search(rows, n)
+        # At order 7 two classes have a least leaf that is not the first.
+        assert relabeled_code(rows, order) == code and code not in codes, rows
+        codes.add(code)
 
 
 def test_code_separates_graphs_that_colour_refinement_cannot():

@@ -136,6 +136,24 @@ def test_declared_edge_list_order_is_guarded_before_the_graph_is_built(
     assert (code, out, err.strip(), built) == (3, "", message, [])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("compute",), "exceeds the limit 26 (set --max-n or SZF_MAX_N)"),
+    (("classify", "--check"), "exceeds the limit 26 for --check"),
+], ids=["compute", "classify-check"])
+@pytest.mark.parametrize("spec, n", [
+    ("path:200000", 200000), ("corona_k2(cycle:10)", 30), ("hypercube:5", 32),
+    ("gadget_cycle:23,3", 55),
+])
+def test_family_order_is_guarded_before_the_graph_is_built(capsys, monkeypatch, argv,
+                                                            message, spec, n):
+    def spy(order, edges):
+        raise AssertionError(f"a graph of order {order} was built")
+
+    monkeypatch.setattr("szf.families.from_edge_list", spy)
+    code, out, err = run_cli(capsys, *argv, "--family", spec)
+    assert (code, out, err.strip()) == (3, "", f"graph order {n} {message}")
+
+
 @pytest.mark.parametrize("argv", [("compute",), ("classify", "--check")],
                          ids=["compute", "classify-check"])
 @pytest.mark.parametrize("source, limit, message", [

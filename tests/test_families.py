@@ -11,7 +11,7 @@ from szf.families import (
     family_graph, friendship, gadget_family, h_graph, hypercube, matching,
     paired_blue_witness, path, random_gadget_spec, spider, spider_f_bound,
     star, th_cycle_formula, th_hypercube_formula, th_path_formula,
-    th_spider_formula,
+    th_spider_formula, _family,
 )
 from szf.forcing import propagate
 from szf.graph import leaves, min_degree
@@ -271,6 +271,17 @@ def test_family_spec_strings():
     assert family_graph("complete:4") == complete(4)
     assert family_graph("star:3") == star(3)
     assert family_graph("hypercube:3") == hypercube(3)
+
+
+@pytest.mark.parametrize("spec", [
+    "cycle:12", "spider:4,3", "h:1,2,0", "h_graph:0,0,3", "friendship:2",
+    "complete_multipartite:2,3,1", "matching:2", "empty:0", "corona_k1(cycle:4)",
+    "corona_k2(path:3)", "corona_k1(corona_k2(star:2))", "gadget_cycle:10,42",
+    "gadget_path:10,42", "path:5", "complete:4", "star:3", "hypercube:3",
+])
+def test_family_order_is_known_before_the_build(spec):
+    order, build = _family(spec)
+    assert order == build().n == family_graph(spec).n
 
 
 def test_family_spec_errors():
