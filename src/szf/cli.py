@@ -34,7 +34,7 @@ from .families import (
     th_cycle_formula, th_hypercube_formula, th_path_formula, th_spider_formula,
 )
 from .forcing import propagate
-from .formats import _edge_list, format_edge_list, from_graph6, to_graph6
+from .formats import _edge_list, _graph6, format_edge_list, to_graph6
 from .graph import Graph, components, diameter, from_edge_list, leaves, min_degree
 from .structure import classify_extremes
 from .throttling import throttle, throttle_with_bound
@@ -88,34 +88,27 @@ def _input_text(args) -> str:
     return "\n".join(ln for ln in text.splitlines() if not ln.lstrip().startswith("#"))
 
 
-def _load_graph(args, limit=math.inf) -> tuple[int, Graph | None]:
-    """(order, graph) of the input; the graph is None when the order is above
-    `limit`, and a family spec or edge list of such an order is never built."""
+class _OverLimit(Exception):
+    """An input's order is above the guard; `main` prints it and exits 3."""
+
+
+def _load_graph(args, limit=math.inf, hint="(set --max-n or SZF_MAX_N)") -> Graph:
+    """The input graph. Every source gives its order before it is decoded, and
+    one above `limit` raises _OverLimit without building the graph."""
     if getattr(args, "family", None):
         n, build = _family(args.family)
-        if n > limit:
-            return n, None
-        g = build()
-    elif args.format == "graph6":
-        g = from_graph6(_input_text(args))
     else:
-        n, edges = _edge_list(_input_text(args))
-        if n > limit:
-            return n, None
-        g = from_edge_list(n, edges)
-    return g.n, (g if g.n <= limit else None)
+        n, build = (_graph6 if args.format == "graph6" else _edge_list)(_input_text(args))
+    if n > limit:
+        raise _OverLimit(f"graph order {n} exceeds the limit {limit} {hint}")
+    return build()
 
 
 # ---------------------------------------------------------------------------
 # compute / classify / family
 
 def cmd_compute(args) -> int:
-    limit = _max_n(args)
-    n, g = _load_graph(args, limit)
-    if g is None:
-        print(f"graph order {n} exceeds the limit {limit} (set --max-n or SZF_MAX_N)",
-              file=sys.stderr)
-        return EXIT_RESOURCE
+    g = _load_graph(args, _max_n(args))
     result = throttle(g) if args.bound is None else throttle_with_bound(g, args.bound)
     payload = {"n": g.n, **result.to_json_dict()}
     if args.trace:
@@ -133,11 +126,7 @@ def _agrees(c, th: int, n: int) -> bool:
 
 
 def cmd_classify(args) -> int:
-    limit = _max_n(args) if args.check else math.inf
-    n, g = _load_graph(args, limit)
-    if g is None:
-        print(f"graph order {n} exceeds the limit {limit} for --check", file=sys.stderr)
-        return EXIT_RESOURCE
+    g = _load_graph(args, _max_n(args) if args.check else math.inf, "for --check")
     c = classify_extremes(g)
     payload = {"n": g.n, "label": c.label, "value": c.value, "evidence": c.evidence}
     if args.check:
@@ -242,9 +231,10 @@ def _corona_row(seed: int, variant: str):
 
 
 def _gadget_row(seed: int, diameter_bound: bool):
-    """A seeded gadget cycle, valued by its paired-blue witness: against the
-    diameter lower bound (exact th up to order 28), or against the budget
-    isqrt(36 L) for base length L."""
+    """A seeded gadget cycle against the budget isqrt(36 L) for base length L,
+    valued by its paired-blue witness, or against the diameter lower bound,
+    valued by the exact th of `throttle` up to order 41 and by the witness (an
+    upper bound on th, so no evidence for the bound) above it."""
     length = 10 + SplitMix64(seed).below(31)
     spec = random_gadget_spec("cycle", length, seed)
     g = gadget_family(spec)
@@ -257,7 +247,7 @@ def _gadget_row(seed: int, diameter_bound: bool):
         return name, g.n, computed, budget, tr.completed and computed <= budget
     d = diameter(g)
     assert tr.completed and min_degree(g) >= 2 and d >= 4
-    if g.n <= 28:
+    if g.n <= 41:
         computed = throttle(g).th
     return (name, g.n, computed, str(diameter_lower_bound(d)),
             diameter_bound_holds(computed, d))
@@ -400,6 +390,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _OverLimit as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_RESOURCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -8,9 +8,15 @@ graph6 layout, as implemented here:
   increasing j then increasing i, packed most-significant-bit first into
   6-bit groups, zero padded, each group emitted as chr(group+63).
 
+The readers `_graph6` and `_edge_list` check the whole text and return
+(n, build): the order comes before the body, so a caller can refuse it
+before build() decodes anything. graph6 decodes in linear time.
+
 The edge-list text format is "n m" on the first line followed by m lines
 "u v". Lines that are blank or start with '#' are ignored on input.
 """
+
+from itertools import compress
 
 from .graph import Graph, from_edge_list
 
@@ -53,13 +59,14 @@ def to_graph6(g: Graph) -> str:
 
 def from_graph6(text: str) -> Graph:
     """Decode a graph6 string, tolerating the optional '>>graph6<<' header.
+    Raises ValueError on characters outside chr(63)..chr(126), a truncated
+    or overlong bit stream, or nonzero padding bits."""
+    return _graph6(text)[1]()
 
-    Raises
-    ------
-    ValueError
-        On characters outside chr(63)..chr(126), a truncated or overlong
-        bit stream, or nonzero padding bits.
-    """
+
+def _graph6(text: str):
+    """(n, build) of a graph6 string, checked in full before anything is
+    decoded; build() walks the body six bits a character."""
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
@@ -86,29 +93,24 @@ def from_graph6(text: str) -> Graph:
         raise ValueError("truncated graph6 bit stream")
     if len(body) > nbytes:
         raise ValueError("trailing data after graph6 bit stream")
-    bits = 0
-    for ch in body:
-        bits = (bits << 6) | (ord(ch) - 63)
     pad = 6 * nbytes - nbits
-    if pad and bits & ((1 << pad) - 1):
+    if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
         raise ValueError("nonzero padding bits in graph6 stream")
-    bits >>= pad
-    edges = []
-    pos = nbits - 1
-    for i, j in _triangle_pairs(n):
-        if (bits >> pos) & 1:
-            edges.append((i, j))
-        pos -= 1
-    return from_edge_list(n, edges)
+
+    def build():
+        bits = ((ord(ch) - 63) >> shift & 1 for ch in body for shift in (5, 4, 3, 2, 1, 0))
+        return from_edge_list(n, list(compress(_triangle_pairs(n), bits)))
+    return n, build
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list text format."""
-    return from_edge_list(*_edge_list(text))
+    return _edge_list(text)[1]()
 
 
 def _edge_list(text: str):
-    """(n, edges) as declared by edge-list text, before any graph is built."""
+    """(n, build) of edge-list text: the declared order, and a function that
+    builds the graph."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -131,7 +133,7 @@ def _edge_list(text: str):
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ValueError(f"non-integer edge line {ln!r}") from None
-    return n, edges
+    return n, lambda: from_edge_list(n, edges)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -136,6 +136,35 @@ def test_declared_edge_list_order_is_guarded_before_the_graph_is_built(
     assert (code, out, err.strip(), built) == (3, "", message, [])
 
 
+# The edgeless graph of order 2000 in graph6: '~', an 18-bit order, then
+# C(2000, 2) zero bits in 333,167 characters.
+EDGELESS_2000_G6 = "~" + "".join(chr((2000 >> s & 63) + 63) for s in (12, 6, 0)) + "?" * 333167
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("compute",), "graph order 2000 exceeds the limit 26 (set --max-n or SZF_MAX_N)"),
+    (("classify", "--check"), "graph order 2000 exceeds the limit 26 for --check"),
+], ids=["compute", "classify-check"])
+def test_graph6_order_is_guarded_before_the_graph_is_decoded(capsys, monkeypatch, argv,
+                                                             message):
+    built = []
+
+    def spy(n, edges):
+        built.append(n)
+        raise AssertionError(f"a graph of order {n} was built")
+
+    for module in ("szf.cli", "szf.formats", "szf.graph"):
+        monkeypatch.setattr(f"{module}.from_edge_list", spy)
+    monkeypatch.setattr("sys.stdin", io.StringIO(EDGELESS_2000_G6 + "\n"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err.strip(), built) == (3, "", message, [])
+    # Malformed text is refused before the guard reads the order.
+    monkeypatch.setattr("sys.stdin", io.StringIO(EDGELESS_2000_G6[:-1] + "\n"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err.strip(), built) == (
+        2, "", "error: truncated graph6 bit stream", [])
+
+
 @pytest.mark.parametrize("argv, message", [
     (("compute",), "exceeds the limit 26 (set --max-n or SZF_MAX_N)"),
     (("classify", "--check"), "exceeds the limit 26 for --check"),

@@ -94,3 +94,16 @@ def test_edge_list_rejects_wrong_edge_count():
 def test_edge_list_rejects_garbage():
     with pytest.raises(ValueError):
         parse_edge_list("n m\n")
+
+
+def test_nonzero_padding_rejected():
+    # n=3 uses 3 of the body's 6 bits; 'x' sets one of the 3 padding bits.
+    with pytest.raises(ValueError, match="nonzero padding bits"):
+        from_graph6("Bx")
+
+
+def test_roundtrip_order_300():
+    g = random_graph(300, seed=5)
+    text = to_graph6(g)
+    assert text[0] == "~" and len(text) == 4 + (300 * 299 // 2 + 5) // 6
+    assert from_graph6(text) == g
