@@ -16,8 +16,8 @@ The automorphisms found below a node of the first path generate the
 stabilizer of the vertices above it, so |Aut(G)| is the product over those
 nodes of the first child's orbit length.
 
-The classes of order m grow from those of order m - 1 by canonical
-augmentation (McKay, J. Algorithms 26, 1998), each class exactly once.
+The classes of order m grow depth first from those of order m - 1 by
+canonical augmentation (McKay, J. Algorithms 26, 1998), each class once.
 
 Graphs are tuples of bit-set adjacency rows: bit u of rows[v] is set iff
 u and v are adjacent.
@@ -115,8 +115,9 @@ def canonical_form(rows, n: int):
 
 
 def graph_classes(n: int):
-    """One (rows, aut) per isomorphism class of graphs of order n.
+    """Yield one (rows, aut) per isomorphism class of graphs of order n.
 
+    A kept child of order m < n is grown at once, one of order n yielded.
     Vertex m - 1 gets the least neighbourhood in each orbit of the parent's
     automorphisms. The child is kept iff m - 1 is in the orbit of its
     deletion vertex, the first of the canonical order with the greatest
@@ -124,32 +125,30 @@ def graph_classes(n: int):
     grown from the class that deleting that vertex leaves. Most other
     children lack the greatest pair at m - 1 and are never searched.
     """
-    classes = [((), 1, [])]
-    for m in range(1, n + 1):
-        grown = []
-        for rows, _, generators in classes:
-            tables = [[0] for _ in generators]
-            for table, perm in zip(tables, generators):
-                for v in range(m - 1):
-                    table += [image | 1 << perm[v] for image in table]
-            seen = set()
-            for hood in range(1 << (m - 1)):
-                if hood in seen:
-                    continue
-                images = [hood]
-                for h in images:
-                    images += [table[h] for table in tables if table[h] not in images]
-                seen.update(images)
-                new = (*(row | (hood >> v & 1) << (m - 1) for v, row in enumerate(rows)), hood)
-                degree = [row.bit_count() for row in new]
-                if degree[-1] < max(degree):
-                    continue
-                pair = [(d, sum(degree[u] for u in range(m) if row >> u & 1))
-                        for d, row in zip(degree, new)]
-                if pair[-1] < max(pair):
-                    continue
-                _, aut, found, orbit, order = _search(new, m)
-                if orbit[m - 1] == orbit[next(v for v in order if pair[v] == pair[-1])]:
-                    grown.append((new, aut, found))
-        classes = grown
-    return [(rows, aut) for rows, aut, _ in classes]
+    def grow(rows, generators):
+        m = len(rows) + 1
+        tables = [[0] for _ in generators]
+        for table, perm in zip(tables, generators):
+            for v in range(m - 1):
+                table += [image | 1 << perm[v] for image in table]
+        seen = set()
+        for hood in range(1 << (m - 1)):
+            if hood in seen:
+                continue
+            images = [hood]
+            for h in images:
+                images += [table[h] for table in tables if table[h] not in images]
+            seen.update(images)
+            new = (*(row | (hood >> v & 1) << (m - 1) for v, row in enumerate(rows)), hood)
+            degree = [row.bit_count() for row in new]
+            if degree[-1] < max(degree):
+                continue
+            pair = [(d, sum(degree[u] for u in range(m) if row >> u & 1))
+                    for d, row in zip(degree, new)]
+            if pair[-1] < max(pair):
+                continue
+            _, aut, found, orbit, order = _search(new, m)
+            if orbit[m - 1] == orbit[next(v for v in order if pair[v] == pair[-1])]:
+                yield from grow(new, found) if m < n else [(new, aut)]
+
+    return grow((), []) if n else iter([((), 1)])

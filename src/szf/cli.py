@@ -33,7 +33,7 @@ from .families import (
     corona_k1, corona_k2, diameter_bound_holds, diameter_lower_bound,
     th_cycle_formula, th_hypercube_formula, th_path_formula, th_spider_formula,
 )
-from .forcing import propagate
+from .forcing import _ball_cover_bound, propagate
 from .formats import _edge_list, _graph6, format_edge_list, to_graph6
 from .graph import Graph, components, diameter, from_edge_list, leaves, min_degree
 from .structure import classify_extremes
@@ -233,22 +233,21 @@ def _corona_row(seed: int, variant: str):
 def _gadget_row(seed: int, diameter_bound: bool):
     """A seeded gadget cycle against the budget isqrt(36 L) for base length L,
     valued by its paired-blue witness, or against the diameter lower bound,
-    valued by the exact th of `throttle` up to order 41 and by the witness (an
-    upper bound on th, so no evidence for the bound) above it."""
+    valued by the exact th of `throttle` up to order 41 and by the ball-cover
+    lower bound on th above it."""
     length = 10 + SplitMix64(seed).below(31)
     spec = random_gadget_spec("cycle", length, seed)
     g = gadget_family(spec)
-    witness = paired_blue_witness(spec, max(2, math.isqrt(2 * length)))
-    tr = propagate(g, witness)
-    computed = len(witness) + tr.pt if tr.completed else g.n + 1
     name = f"gadget_cycle:{length},{seed}"
     if not diameter_bound:
+        witness = paired_blue_witness(spec, max(2, math.isqrt(2 * length)))
+        tr = propagate(g, witness)
+        computed = len(witness) + tr.pt if tr.completed else g.n + 1
         budget = math.isqrt(36 * length)
         return name, g.n, computed, budget, tr.completed and computed <= budget
     d = diameter(g)
-    assert tr.completed and min_degree(g) >= 2 and d >= 4
-    if g.n <= 41:
-        computed = throttle(g).th
+    assert min_degree(g) >= 2 and d >= 4
+    computed = throttle(g).th if g.n <= 41 else _ball_cover_bound(g)
     return (name, g.n, computed, str(diameter_lower_bound(d)),
             diameter_bound_holds(computed, d))
 

@@ -155,3 +155,24 @@ def verify_ball_cover(g: Graph, initial, trace: PropagationTrace) -> bool:
     for c in centers:
         covered |= ball(g, c, radius)
     return len(covered) == g.n
+
+
+def _ball_cover_bound(g: Graph) -> int:
+    """A lower bound on th(g) from the ball cover of `verify_ball_cover`.
+
+    When S completes with pt(S) = t, the radius-2t balls around S and the
+    leaves cover g. A ball of radius 2t holds at most one vertex of a set P
+    whose vertices are pairwise more than 4t apart, so |S| >= |P| - |leaves|.
+    The bound is the least t + max(|P| - |leaves|, 0) over t, with P packed
+    greedily in id order; no t at or above the least value found can lower it.
+    """
+    spare, best, t = len(leaves(g)), g.n, 0
+    while t < best:
+        covered, packed = set(), 0
+        for v in range(g.n):
+            if v not in covered:
+                packed += 1
+                covered |= ball(g, v, 4 * t)
+        best = min(best, t + max(packed - spare, 0))
+        t += 1
+    return best

@@ -21,7 +21,7 @@ from szf.families import (
     th_path_formula, th_spider_formula,
 )
 from szf.formats import from_graph6, to_graph6
-from szf.forcing import propagate, verify_ball_cover
+from szf.forcing import _ball_cover_bound, propagate, verify_ball_cover
 from szf.graph import from_edge_list, components, diameter, leaves, min_degree
 from szf.structure import classify_extremes
 from szf.throttling import throttle, throttle_with_bound
@@ -238,8 +238,7 @@ def test_criterion_08_diameter_bound():
         value = len(witness) + trace.pt
         if value * value > 36 * length:
             witness_bad.append((seed, value, length))
-        if g.n <= 28:
-            value = throttle_with_bound(g, value).th
+        value = throttle_with_bound(g, value).th if g.n <= 28 else _ball_cover_bound(g)
         if not diameter_bound_holds(value, d):
             bound_bad.append((seed, value, d))
     ok = not bound_bad and not witness_bad

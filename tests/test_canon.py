@@ -32,13 +32,27 @@ def is_automorphism(rows, perm):
     return relabel(rows, perm) == tuple(rows)
 
 
-# Growing order 8 takes seconds; the tests that read it share one growth.
-cached_classes = lru_cache(graph_classes)
+# Growing order 8 takes seconds; the tests that read it share one growth,
+# kept as a list since a generator is exhausted by its first reader.
+@lru_cache
+def cached_classes(n):
+    return list(graph_classes(n))
 
 
 def test_class_counts_follow_oeis_a000088():
     assert ([len(cached_classes(n)) for n in range(1, 9)]
             == [1, 2, 4, 11, 34, 156, 1044, 12346])
+
+
+def test_classes_stream_depth_first(monkeypatch):
+    # The first order-8 class follows one search per order, and draining
+    # the growth searches as often as growing one order at a time did.
+    calls = []
+    monkeypatch.setattr("szf.canon._search", lambda rows, n: calls.append(n) or _search(rows, n))
+    classes = iter(graph_classes(8))
+    next(classes)
+    assert len(calls) <= 8
+    assert sum(1 for _ in classes) == 12345 and len(calls) == 14655
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -105,7 +119,7 @@ def test_pruned_form_matches_the_unpruned_oracle_on_every_class(n):
 def test_pruned_growth_matches_the_unpruned_oracle(n):
     # Each representative is the child that canonical augmentation keeps,
     # not the first graph reached, so the classes are compared by code.
-    grown, oracle = graph_classes(n), unpruned_graph_classes(n)
+    grown, oracle = list(graph_classes(n)), unpruned_graph_classes(n)
     assert len(grown) == len(oracle)
     assert ({unpruned_canonical_form(rows, n)[0]: aut for rows, aut in grown}
             == {unpruned_canonical_form(rows, n)[0]: aut for rows, aut in oracle})

@@ -505,7 +505,7 @@ def test_extremes_classes_and_labeled_loop_catch_the_same_broken_rule(monkeypatc
 
 
 def test_extremes_row_raises_when_the_classes_miss_a_labeled_graph(monkeypatch):
-    monkeypatch.setattr(szf.cli, "graph_classes", lambda n: graph_classes(n)[1:])
+    monkeypatch.setattr(szf.cli, "graph_classes", lambda n: list(graph_classes(n))[1:])
     with pytest.raises(RuntimeError, match="order 4"):
         _all_graphs_stats(4)
 

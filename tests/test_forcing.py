@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from szf.canon import graph_classes
 from szf.families import complete, corona_k1, cycle, friendship, h_graph, hypercube, matching, path, star
 from szf.forcing import (
-    Coloring, eligible_forces, is_skew_forcing_set, propagate, step,
+    _ball_cover_bound, Coloring, eligible_forces, is_skew_forcing_set, propagate, step,
     verify_ball_cover,
 )
 from szf.graph import from_edge_list
+from szf.throttling import throttle
 
 from helpers import random_graph, simple_propagation_rounds
 
@@ -193,3 +195,15 @@ def test_is_skew_forcing_set_rejects_out_of_range_vertices():
     for bad in ({3}, {-1}, {0, 7}):
         with pytest.raises(ValueError):
             is_skew_forcing_set(path(3), bad)
+
+
+def test_ball_cover_bound_is_at_most_th_on_every_class_to_order_7():
+    classes = tight = 0
+    for n in range(1, 8):
+        for rows, _ in graph_classes(n):
+            g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1])
+            bound, th = _ball_cover_bound(g), throttle(g).th
+            assert bound <= th, rows
+            classes += 1
+            tight += bound == th
+    assert (classes, tight) == (1252, 18)
