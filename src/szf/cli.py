@@ -21,20 +21,22 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import sys
 import time
+from contextlib import nullcontext
 from typing import NamedTuple
 
 from .canon import graph_classes
 from .families import (
-    SplitMix64, _family, cycle, family_graph, gadget_family, hypercube,
+    SplitMix64, _family, cycle, gadget_family, hypercube,
     paired_blue_witness, path, random_gadget_spec, spider,
     corona_k1, corona_k2, diameter_bound_holds, diameter_lower_bound,
     th_cycle_formula, th_hypercube_formula, th_path_formula, th_spider_formula,
 )
 from .forcing import _ball_cover_bound, propagate
-from .formats import _edge_list, _graph6, format_edge_list, to_graph6
+from .formats import _MAX_G6_ORDER, _edge_list, _graph6, format_edge_list, to_graph6
 from .graph import Graph, components, diameter, from_edge_list, leaves, min_degree
 from .structure import classify_extremes
 from .throttling import throttle, throttle_with_bound
@@ -95,7 +97,7 @@ class _OverLimit(Exception):
 def _load_graph(args, limit=math.inf, hint="(set --max-n or SZF_MAX_N)") -> Graph:
     """The input graph. Every source gives its order before it is decoded, and
     one above `limit` raises _OverLimit without building the graph."""
-    if getattr(args, "family", None):
+    if getattr(args, "family", None) is not None:
         n, build = _family(args.family)
     else:
         n, build = (_graph6 if args.format == "graph6" else _edge_list)(_input_text(args))
@@ -152,14 +154,11 @@ _LABELING_NOTES = {
 
 
 def cmd_family(args) -> int:
-    g = family_graph(args.spec)
-    name = args.spec.split(":", 1)[0].split("(", 1)[0]
+    g = _load_graph(args, _MAX_G6_ORDER, "(the most vertices graph6 can encode)")
+    name = args.family.split(":", 1)[0].split("(", 1)[0]
     note = _LABELING_NOTES.get(name, "dense ids per generator documentation")
-    print(f"# family={args.spec} n={g.n} labeling: {note}")
-    if args.emit == "graph6":
-        print(to_graph6(g))
-    else:
-        sys.stdout.write(format_edge_list(g))
+    print(f"# family={args.family} n={g.n} labeling: {note}")
+    sys.stdout.write(to_graph6(g) + "\n" if args.emit == "graph6" else format_edge_list(g))
     return EXIT_OK
 
 
@@ -202,10 +201,10 @@ def _all_graphs_stats(n: int):
     return mismatches
 
 
-def _formula_row(spec: str, g: Graph, predicted: int):
-    """Exact th against a closed form."""
+def _formula_row(spec: str, g: Graph, predicted: int, holds=operator.eq):
+    """Exact th against a closed form, or against an upper bound if holds=operator.le."""
     computed = throttle(g).th
-    return spec, g.n, computed, predicted, computed == predicted
+    return spec, g.n, computed, predicted, holds(computed, predicted)
 
 
 def _corona_keys(args):
@@ -224,27 +223,32 @@ def _corona_row(seed: int, variant: str):
     spec = f"corona_{variant}(seed={seed})"
     if variant == "k1":
         return _formula_row(spec, corona_k1(base), 2)
-    g = corona_k2(base)
-    computed = throttle(g).th
     predicted = base.n + 1 if variant == "k2" else base.n
-    return spec, g.n, computed, predicted, computed <= predicted
+    return _formula_row(spec, corona_k2(base), predicted, operator.le)
 
 
-def _gadget_row(seed: int, diameter_bound: bool):
-    """A seeded gadget cycle against the budget isqrt(36 L) for base length L,
-    valued by its paired-blue witness, or against the diameter lower bound,
-    valued by the exact th of `throttle` up to order 41 and by the ball-cover
-    lower bound on th above it."""
+def _gadget_cycle(seed: int):
+    """(row name, base length L, spec, graph) of the seeded gadget cycle."""
     length = 10 + SplitMix64(seed).below(31)
     spec = random_gadget_spec("cycle", length, seed)
-    g = gadget_family(spec)
-    name = f"gadget_cycle:{length},{seed}"
-    if not diameter_bound:
-        witness = paired_blue_witness(spec, max(2, math.isqrt(2 * length)))
-        tr = propagate(g, witness)
-        computed = len(witness) + tr.pt if tr.completed else g.n + 1
-        budget = math.isqrt(36 * length)
-        return name, g.n, computed, budget, tr.completed and computed <= budget
+    return f"gadget_cycle:{length},{seed}", length, spec, gadget_family(spec)
+
+
+def _gadget_family_row(seed: int):
+    """A seeded gadget cycle's paired-blue witness value against the budget isqrt(36 L)."""
+    name, length, spec, g = _gadget_cycle(seed)
+    witness = paired_blue_witness(spec, max(2, math.isqrt(2 * length)))
+    tr = propagate(g, witness)
+    computed = len(witness) + tr.pt if tr.completed else g.n + 1
+    budget = math.isqrt(36 * length)
+    return name, g.n, computed, budget, tr.completed and computed <= budget
+
+
+def _diameter_bound_row(seed: int):
+    """A seeded gadget cycle against the diameter lower bound, valued by the
+    exact th of `throttle` up to order 41 and by the ball-cover lower bound on
+    th above it."""
+    name, _, _, g = _gadget_cycle(seed)
     d = diameter(g)
     assert min_degree(g) >= 2 and d >= 4
     computed = throttle(g).th if g.n <= 41 else _ball_cover_bound(g)
@@ -286,9 +290,9 @@ CAMPAIGNS = {
     "extremes": (_extremes_orders,
                  lambda n: (f"extremes:n={n}", n, (bad := _all_graphs_stats(n)), 0, bad == 0)),
     "diameter-bound": (lambda args: _parse_range(args.seeds or "1..20", "--seeds"),
-                       lambda seed: _gadget_row(seed, True)),
+                       lambda seed: _diameter_bound_row(seed)),
     "gadget-family": (lambda args: _parse_range(args.seeds or "1..20", "--seeds"),
-                      lambda seed: _gadget_row(seed, False)),
+                      lambda seed: _gadget_family_row(seed)),
 }
 
 
@@ -305,26 +309,21 @@ def cmd_verify(args) -> int:
     if not args.timeout_s > 0:
         raise ValueError(f"--timeout-s must be a positive number, got {args.timeout_s}")
     keys = [(args.campaign, key) for key in CAMPAIGNS[args.campaign][0](args)]
-    # The fork start method launches every worker at the first submit.
-    workers = min(args.jobs, len(keys))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_instance, keys))
-    else:
-        rows = [_run_instance(k) for k in keys]
-    rows.sort(key=lambda r: (r.spec, r.n))
-
-    out = sys.stdout if args.output is None else open(
-        args.output, "w", encoding="ascii", newline="")
-    try:
+    # Opened before the first instance runs, so a bad path fails at once.
+    with nullcontext(sys.stdout) if args.output is None else open(
+            args.output, "w", encoding="ascii", newline="") as out:
+        # The fork start method launches every worker at the first submit.
+        workers = min(args.jobs, len(keys))
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_run_instance, keys))
+        else:
+            rows = [_run_instance(k) for k in keys]
+        rows.sort(key=lambda r: (r.spec, r.n))
         writer = csv.writer(out)
         writer.writerow(CSV_HEADER.split(","))
-        for row in rows:
-            writer.writerow(row.csv_fields())
-    finally:
-        if args.output is not None:
-            out.close()
+        writer.writerows(row.csv_fields() for row in rows)
 
     matched = sum(1 for r in rows if r.match)
     total_ms = sum(r.runtime_ms for r in rows)
@@ -377,7 +376,7 @@ def _build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("family", help="emit a generated family instance")
-    p.add_argument("spec", help="family spec string, e.g. cycle:4 or h:0,2,0")
+    p.add_argument("family", metavar="spec", help="family spec string, e.g. cycle:4 or h:0,2,0")
     p.add_argument("--emit", choices=("graph6", "edgelist"), default="graph6")
     p.set_defaults(func=cmd_family)
 

@@ -16,7 +16,7 @@ The edge-list text format is "n m" on the first line followed by m lines
 "u v". Lines that are blank or start with '#' are ignored on input.
 """
 
-from itertools import compress
+from itertools import chain, compress
 
 from .graph import Graph, from_edge_list
 
@@ -42,19 +42,10 @@ def to_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    chunks = []
-    group = 0
-    filled = 0
-    for i, j in _triangle_pairs(n):
-        group = (group << 1) | (1 if j in g.adj[i] else 0)
-        filled += 1
-        if filled == 6:
-            chunks.append(chr(group + 63))
-            group = 0
-            filled = 0
-    if filled:
-        chunks.append(chr((group << (6 - filled)) + 63))
-    return head + "".join(chunks)
+    # Six bits a character, first bit highest; zip drops the padding bits left over.
+    bits = chain((j in g.adj[i] for i, j in _triangle_pairs(n)), [False] * 5)
+    return head + bytes(63 + (a << 5 | b << 4 | c << 3 | d << 2 | e << 1 | f)
+                        for a, b, c, d, e, f in zip(*[bits] * 6)).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:

@@ -6,8 +6,8 @@ shared freely across threads or worker processes. All constructors
 validate loop-freedom and adjacency symmetry.
 """
 
-from collections import deque
 from functools import cached_property
+from itertools import islice
 import math
 from typing import NamedTuple
 
@@ -85,7 +85,7 @@ class Graph(NamedTuple("_GraphFields", [("n", int), ("adj", tuple[frozenset[int]
     def bit_adjacency(self) -> tuple[int, ...]:
         """Neighbor sets as integer bitmasks (bit v set iff v is a neighbor).
 
-        `components` walks it, and `structure` reads it for the union-join
+        `_layers` walks it, and `structure` reads it for the union-join
         decomposition, the hub and corona recognizers and the four-vertex
         scans. The propagation kernel does not: its integers are indexed by
         subset, not by vertex, and it walks `adj`. The value is cached on
@@ -179,56 +179,53 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     return _graph_from_sets(len(vs), sets)
 
 
+def _layers(rows, start, within):
+    """Breadth-first layers, as bit sets, from the bit set `start` through the
+    bit set `within` of the graph whose neighbor bit sets are `rows`: layer d
+    holds the vertices at distance d. Disjoint, so their sum is their union."""
+    layer, rest = start, within & ~start
+    while layer:
+        yield layer
+        reach = 0
+        while layer:
+            low = layer & -layer
+            reach |= rows[low.bit_length() - 1]
+            layer ^= low
+        layer = reach & rest
+        rest ^= layer
+
+
 def _bit_components(rows, vertices):
     """Components, as bit sets ordered by smallest vertex, of the graph whose
     neighbor bit sets are `rows`, restricted to the bit set `vertices`."""
     parts = []
     while vertices:
-        comp = frontier = vertices & -vertices
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & vertices & ~comp
-            comp |= frontier
+        comp = sum(_layers(rows, vertices & -vertices, vertices))
         parts.append(comp)
         vertices ^= comp
     return parts
 
 
+def _members(bits) -> frozenset[int]:
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return frozenset(out)
+
+
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
-    out = []
-    for comp in _bit_components(g.bit_adjacency, (1 << g.n) - 1):
-        members = []
-        while comp:
-            low = comp & -comp
-            members.append(low.bit_length() - 1)
-            comp ^= low
-        out.append(frozenset(members))
-    return out
-
-
-def _bfs_layers(g, source):
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
+    return [_members(c) for c in _bit_components(g.bit_adjacency, (1 << g.n) - 1)]
 
 
 def distance(g: Graph, u: int, v: int):
     """Shortest-path edge count between u and v; math.inf across components."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("vertex out of range")
-    dist = _bfs_layers(g, u)
-    return dist.get(v, math.inf)
+    layers = _layers(g.bit_adjacency, 1 << u, (1 << g.n) - 1)
+    return next((d for d, layer in enumerate(layers) if layer >> v & 1), math.inf)
 
 
 def diameter(g: Graph):
@@ -238,12 +235,13 @@ def diameter(g: Graph):
     """
     if g.n == 0:
         raise ValueError("diameter of the empty graph is undefined")
+    rows, full = g.bit_adjacency, (1 << g.n) - 1
     best = 0
     for v in range(g.n):
-        dist = _bfs_layers(g, v)
-        if len(dist) != g.n:
+        layers = list(_layers(rows, 1 << v, full))
+        if sum(layers) != full:
             return math.inf
-        best = max(best, max(dist.values()))
+        best = max(best, len(layers) - 1)
     return best
 
 
@@ -264,4 +262,4 @@ def ball(g: Graph, v: int, r: int) -> frozenset[int]:
         raise ValueError("vertex out of range")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    return frozenset(u for u, d in _bfs_layers(g, v).items() if d <= r)
+    return _members(sum(islice(_layers(g.bit_adjacency, 1 << v, (1 << g.n) - 1), r + 1)))

@@ -199,12 +199,9 @@ def recognize_corona_k1(g: Graph):
     is relabeled to dense ids.
     """
     rows = g.bit_adjacency
-    kept = (1 << g.n) - 1
-    r = 0
-    for c in _bit_components(rows, kept):
-        if c.bit_count() == 2:
-            kept ^= c
-            r += 1
+    comps = _bit_components(rows, (1 << g.n) - 1)
+    rest = [c for c in comps if c.bit_count() != 2]
+    kept, r = sum(rest), len(comps) - len(rest)
     pendants = sum(1 << v for v in range(g.n) if kept >> v & 1 and rows[v].bit_count() == 1)
     core = kept ^ pendants
     members = [v for v in range(g.n) if core >> v & 1]

@@ -270,6 +270,30 @@ def test_family_bad_spec(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("family", ""), ("compute", "--family", "")])
+def test_empty_family_spec_is_a_parse_failure(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err.strip()) == (2, "", "error: unknown family ''")
+
+
+def test_family_cycle_output_is_unchanged(capsys):
+    code, out, _ = run_cli(capsys, "family", "cycle:4")
+    assert (code, out) == (0, "# family=cycle:4 n=4 labeling: vertices 0..n-1 in ring order, "
+                               "edge (n-1,0) closes the cycle\nCl\n")
+
+
+@pytest.mark.parametrize("emit", ["graph6", "edgelist"])
+def test_family_order_above_graph6_is_refused_before_the_build(capsys, monkeypatch, emit):
+    def spy(order, edges):
+        raise AssertionError(f"a graph of order {order} was built")
+
+    monkeypatch.setattr("szf.families.from_edge_list", spy)
+    code, out, err = run_cli(capsys, "family", "hypercube:30", "--emit", emit)
+    assert (code, out, err.strip()) == (
+        3, "", "graph order 1073741824 exceeds the limit 258047 "
+               "(the most vertices graph6 can encode)")
+
+
 def read_rows(path_):
     with open(path_, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -409,6 +433,16 @@ def test_verify_empty_range_is_an_error(capsys, flags, message):
     code, out, err = run_cli(capsys, "verify", *flags)
     assert code == 2
     assert err.startswith(f"error: {message}") and out == ""
+
+
+def test_verify_output_path_is_opened_before_any_instance_runs(capsys, monkeypatch, tmp_path):
+    def spy(n):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(szf.cli, "graph_classes", spy)
+    code, out, err = run_cli(capsys, "verify", "--campaign", "extremes",
+                             "--output", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out) == (2, "") and err.startswith("error: [Errno 2] No such file")
 
 
 def test_verify_infinite_timeout_is_no_limit(capsys):

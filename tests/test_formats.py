@@ -1,6 +1,6 @@
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from szf.families import complete, cycle, path
@@ -67,6 +67,13 @@ def test_string_side_roundtrip_is_identity(n, seed, percent):
 
 @given(st.integers(2, 10), st.integers(0, 2 ** 16))
 @settings(max_examples=80, deadline=None)
+# The empty and one-vertex graphs, and the long order form from 63 on.
+@example(0, 1)
+@example(1, 2)
+@example(62, 3)
+@example(63, 4)
+@example(64, 5)
+@example(300, 6)
 def test_encoder_agrees_with_networkx(n, seed):
     g = random_graph(n, seed)
     nxg = nx.Graph()

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from szf.graph import (
 )
 from szf.families import complete, cycle, path, spider, star
 
-from helpers import brute_isomorphic, random_graph
+from helpers import all_graphs, brute_isomorphic, random_graph
 
 
 def test_from_edge_list_p3():
@@ -136,6 +137,50 @@ def test_ball_saturates_to_component():
     for v in range(g.n):
         comp = next(c for c in components(g) if v in c)
         assert ball(g, v, g.n) == comp
+
+
+def assert_distances_agree_with_networkx(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    assert components(g) == sorted(map(frozenset, nx.connected_components(nxg)), key=min)
+    if g.n:
+        assert diameter(g) == (nx.diameter(nxg) if nx.is_connected(nxg) else math.inf)
+    for u in range(g.n):
+        dist = nx.single_source_shortest_path_length(nxg, u)
+        assert [distance(g, u, v) for v in range(g.n)] == [
+            dist.get(v, math.inf) for v in range(g.n)]
+        for r in range(g.n + 1):
+            assert ball(g, u, r) == frozenset(v for v, d in dist.items() if d <= r)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_distances_agree_with_networkx_on_every_small_graph(n):
+    for g in all_graphs(n):
+        assert_distances_agree_with_networkx(g)
+
+
+@pytest.mark.parametrize("n", range(6, 41))
+def test_distances_agree_with_networkx_on_sparse_random_graphs(n):
+    # 5-30% edges: the sparser ones fall apart into several components.
+    assert_distances_agree_with_networkx(random_graph(n, seed=n, percent=5 + n * 7 % 26))
+
+
+class RecordingRows(tuple):
+    """Neighbor bit sets that record which vertices' rows are read."""
+
+    def __getitem__(self, v):
+        self.read.append(v)
+        return tuple.__getitem__(self, v)
+
+
+def test_ball_stops_at_its_radius():
+    g = path(50)
+    rows = g.__dict__["bit_adjacency"] = RecordingRows(g.bit_adjacency)
+    rows.read = []
+    assert ball(g, 0, 2) == frozenset({0, 1, 2})
+    # Layers 0 and 1 are expanded to reach layer 2; no row beyond is read.
+    assert rows.read == [0, 1]
 
 
 def test_leaves_of_spider():
