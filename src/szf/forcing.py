@@ -9,7 +9,7 @@ forcing (and is why rK2 colors itself from an empty initial set).
 
 from typing import NamedTuple
 
-from .graph import Graph, ball, leaves
+from .graph import Graph, _ball, leaves
 
 __all__ = [
     "OUTCOME_COMPLETED",
@@ -149,12 +149,9 @@ def verify_ball_cover(g: Graph, initial, trace: PropagationTrace) -> bool:
     """
     if not trace.completed:
         raise ValueError("ball cover is only defined for completed traces")
-    radius = 2 * trace.pt
-    centers = set(leaves(g)) | set(initial)
-    covered = set()
-    for c in centers:
-        covered |= ball(g, c, radius)
-    return len(covered) == g.n
+    _check_subset(g, initial)
+    centers = sum(1 << c for c in leaves(g) | frozenset(initial))
+    return _ball(g.bit_adjacency, centers, 2 * trace.pt) == (1 << g.n) - 1
 
 
 def _ball_cover_bound(g: Graph) -> int:
@@ -166,13 +163,12 @@ def _ball_cover_bound(g: Graph) -> int:
     The bound is the least t + max(|P| - |leaves|, 0) over t, with P packed
     greedily in id order; no t at or above the least value found can lower it.
     """
-    spare, best, t = len(leaves(g)), g.n, 0
+    rows, spare, best, t = g.bit_adjacency, len(leaves(g)), g.n, 0
     while t < best:
-        covered, packed = set(), 0
-        for v in range(g.n):
-            if v not in covered:
-                packed += 1
-                covered |= ball(g, v, 4 * t)
+        uncovered, packed = (1 << g.n) - 1, 0
+        while uncovered:
+            packed += 1
+            uncovered &= ~_ball(rows, uncovered & -uncovered, 4 * t)
         best = min(best, t + max(packed - spare, 0))
         t += 1
     return best

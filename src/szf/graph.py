@@ -206,6 +206,11 @@ def _bit_components(rows, vertices):
     return parts
 
 
+def _ball(rows, start, r):
+    """The bit set of vertices within distance r of the bit set `start`."""
+    return sum(islice(_layers(rows, start, (1 << len(rows)) - 1), r + 1))
+
+
 def _members(bits) -> frozenset[int]:
     out = []
     while bits:
@@ -262,4 +267,4 @@ def ball(g: Graph, v: int, r: int) -> frozenset[int]:
         raise ValueError("vertex out of range")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    return _members(sum(islice(_layers(g.bit_adjacency, 1 << v, (1 << g.n) - 1), r + 1)))
+    return _members(_ball(g.bit_adjacency, 1 << v, r))

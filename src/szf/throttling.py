@@ -12,12 +12,15 @@ None when the batch stalls or runs out of its round budget first.
 
 The reduction `_least` keeps, over the batches of one size, the first
 optimum in that order: each batch after a hit is budgeted to beat it.
-Sizes up to Z-(G) run without a round budget: the first size where it
-finds a set is Z-(G), where skew_zero_forcing_number stops, and its value
-there is pt_minimum, where min_propagation_time stops. throttle goes on
-from Z-(G) + 1 while k is below the best value, budgeting size k to
-best - k rounds, so sizes that tie the best still count in per_k, while
-only a smaller value replaces the witness.
+The Z- scan starts at the floor max(δ(G) - 1, 0): if S != V forces, some
+vertex u has exactly one white neighbour in round 1, so
+|S| >= deg(u) - 1 >= δ(G) - 1, and no smaller size can hold a forcing set.
+Sizes from the floor up to Z-(G) run without a round budget: the first
+size where it finds a set is Z-(G), where skew_zero_forcing_number stops,
+and its value there is pt_minimum, where min_propagation_time stops.
+throttle goes on from Z-(G) + 1 while k is below the best value,
+budgeting size k to best - k rounds, so sizes that tie the best still
+count in per_k, while only a smaller value replaces the witness.
 """
 
 from math import comb
@@ -34,7 +37,7 @@ __all__ = [
     "throttle_with_bound",
 ]
 
-LANE_CAP = 4096  # most lanes in one batch: bounds the width of each integer
+LANE_CAP = 1 << 14  # most lanes in one batch: bounds the width of each integer
 
 
 class ThrottleResult(NamedTuple):
@@ -175,8 +178,10 @@ def _least(g, k, limit=None):
 
 
 def _first_forcing(g):
-    """(Z-(G), pt, subset): the first size with a forcing set, and _least there."""
-    return next((k, *hit) for k in range(g.n + 1) if (hit := _least(g, k)))
+    """(Z-(G), pt, subset): the first size from the floor max(δ(G) - 1, 0)
+    with a forcing set, and _least there."""
+    floor = max(min(map(len, g.adj), default=0) - 1, 0)
+    return next((k, *hit) for k in range(floor, g.n + 1) if (hit := _least(g, k)))
 
 
 def skew_zero_forcing_number(g: Graph) -> int:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szf.graph import (
-    Graph, ball, complement, components, corona, diameter, disjoint_union,
+    Graph, _ball, ball, complement, components, corona, diameter, disjoint_union,
     distance, from_edge_list, induced_subgraph, join, leaves, min_degree,
 )
 from szf.families import complete, cycle, path, spider, star
@@ -164,6 +164,16 @@ def test_distances_agree_with_networkx_on_every_small_graph(n):
 def test_distances_agree_with_networkx_on_sparse_random_graphs(n):
     # 5-30% edges: the sparser ones fall apart into several components.
     assert_distances_agree_with_networkx(random_graph(n, seed=n, percent=5 + n * 7 % 26))
+
+
+@given(st.integers(0, 12), st.integers(0, 2 ** 16), st.integers(0, 2 ** 12 - 1),
+       st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_ball_of_a_vertex_set_is_the_union_of_their_balls(n, seed, mask, r):
+    g = random_graph(n, seed, percent=20)
+    centers = [v for v in range(n) if mask >> v & 1]
+    union = frozenset().union(*(ball(g, v, r) for v in centers))
+    assert _ball(g.bit_adjacency, sum(1 << v for v in centers), r) == sum(1 << v for v in union)
 
 
 class RecordingRows(tuple):

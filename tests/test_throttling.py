@@ -15,8 +15,9 @@ from szf import throttling
 from szf.forcing import propagate
 from szf.graph import from_edge_list
 from szf.throttling import (
-    LANE_CAP, _first_completion, _lane_words, _least, min_propagation_time,
-    skew_zero_forcing_number, throttle, throttle_with_bound, throttling_at_k,
+    LANE_CAP, ThrottleResult, _first_completion, _lane_words, _least,
+    min_propagation_time, skew_zero_forcing_number, throttle, throttle_with_bound,
+    throttling_at_k,
 )
 
 from helpers import all_graphs, brute_force_table, random_graph
@@ -183,7 +184,7 @@ def test_json_dict_shape():
 # ---------------------------------------------------------------------------
 # the bit-sliced batch kernel
 
-# With the real lane cap every graph of order <= 14 fits one batch per size,
+# With the real lane cap every graph of order <= 16 fits one batch per size,
 # so small caps are what make budgets tighten between batches and witnesses
 # fall across batch edges. Cap 16 splits size 3 at n = 6 (C(6, 3) = 20):
 # one batch of the runs under vertices 0 and 1 (10 + 6 lanes), then the rest.
@@ -398,10 +399,17 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
         assert max(batch_counts) > 1
 
 
-@pytest.mark.parametrize("spec", ["star:20", "complete:20"])
+def _floor(g):
+    """max(δ(G) - 1, 0): if S != V forces, some vertex u has exactly one white
+    neighbour in round 1, so |S| >= deg(u) - 1."""
+    return max(min(map(len, g.adj), default=0) - 1, 0)
+
+
+@pytest.mark.parametrize("spec", ["star:20"])
 def test_high_z_graphs_run_many_full_batches_at_the_real_cap(monkeypatch, spec):
-    # Z- = n - 2, so every size up to n - 2 is searched without a budget;
-    # C(n, n/2) is far above LANE_CAP, so the middle sizes take many batches.
+    # Z- = n - 2 and δ = 1, so every size up to n - 2 is searched without a
+    # budget; C(n, n/2) is far above LANE_CAP, so the middle sizes take many
+    # batches.
     g = family_graph(spec)
     widths = []
 
@@ -416,3 +424,85 @@ def test_high_z_graphs_run_many_full_batches_at_the_real_cap(monkeypatch, spec):
     trace = propagate(g, r.witness)
     assert trace.completed and r.k + trace.pt == r.th
     assert max(widths) > LANE_CAP // 2 and len(widths) > 2 * g.n
+
+
+FLOORED_RESULTS = {
+    "complete:20": ThrottleResult(19, frozenset(range(18)), 18, 1, {18: 19}, 18, 1),
+    "complete_multipartite:4,4,4,4":
+        ThrottleResult(15, frozenset(range(15)) - {11}, 14, 1, {14: 15}, 14, 1),
+}
+
+
+@pytest.mark.parametrize("spec", FLOORED_RESULTS)
+def test_scan_runs_no_batch_below_the_min_degree_floor(monkeypatch, spec):
+    # K20 has δ = n - 1, so its floor n - 2 is Z- itself; K(4,4,4,4) has
+    # δ = 12 and Z- = 14, so sizes 11-13 are still scanned in full.
+    g = family_graph(spec)
+    sizes = []
+
+    def recording(adj, blue, full, budget=None):
+        sizes.append(sum(b & 1 for b in blue))  # every lane of a batch has one size
+        return _first_completion(adj, blue, full, budget)
+
+    monkeypatch.setattr(throttling, "_first_completion", recording)
+    r = throttle(g)
+    assert r == FLOORED_RESULTS[spec]
+    assert r.th == g.n - 1  # the value n - 1 of the paper's characterization
+    assert min(sizes) == _floor(g)
+    trace = propagate(g, r.witness)
+    assert trace.completed and r.k + trace.pt == r.th
+
+
+def test_no_set_below_the_min_degree_floor_forces_to_order_6():
+    # Graphs with δ <= 1 have floor 0, which claims nothing.
+    checked = tight = 0
+    for n in range(7):
+        for g in all_graphs(n):
+            if floor := _floor(g):
+                _, _, z, ptm, _ = brute_force_table(g)
+                assert z >= floor
+                r = throttle(g)
+                assert (r.z_minus, r.pt_minimum) == (z, ptm)
+                checked += 1
+                tight += z == floor
+    assert checked and tight
+
+
+@given(st.integers(7, 9), st.integers(0, 2 ** 16), st.integers(40, 100))
+@settings(max_examples=40, deadline=None)
+def test_no_set_below_the_min_degree_floor_forces_on_random_graphs(n, seed, percent):
+    g = random_graph(n, seed, percent)
+    th, witness, z, ptm, per_k = brute_force_table(g)
+    assert z >= _floor(g)
+    r = throttle(g)
+    assert (r.th, r.witness, r.z_minus, r.pt_minimum) == (th, witness, z, ptm)
+
+
+# (n, seed, percent): every member searches some size with more than 4096
+# lanes, so the two caps cut it into different batches.
+CAP_CORPUS = [(15, 1, 15), (15, 7, 60), (16, 2, 30), (16, 6, 60), (17, 3, 45),
+              (17, 8, 55), (18, 4, 60), (18, 5, 20), (18, 9, 35)]
+
+
+def test_results_do_not_depend_on_the_lane_cap(monkeypatch):
+    graphs = [random_graph(*spec) for spec in CAP_CORPUS]
+    assert sum(_floor(g) > 0 for g in graphs) > len(graphs) // 2
+    wide = [throttle(g) for g in graphs]
+    assert all(max(comb(g.n, k) for k in range(r.z_minus, r.th)) > 4096
+               for g, r in zip(graphs, wide))
+    monkeypatch.setattr(throttling, "LANE_CAP", 4096)
+    for spec, g, r in zip(CAP_CORPUS, graphs, wide):
+        assert throttle(g) == r, spec
+
+
+def test_lane_word_table_stays_under_one_mebibyte(monkeypatch):
+    # The table lives as long as the process and grows with LANE_CAP: these
+    # solves leave about 0.6 MiB of lane bits at a cap of 16384 and about
+    # 1.8 MiB at 65536.
+    table = {}
+    monkeypatch.setattr(throttling, "_WORDS", table)
+    for spec in ("cycle:24", "spider:5,5"):
+        throttle(family_graph(spec))
+    for n, seed, percent in ((16, 1, 30), (17, 2, 45), (18, 3, 25), (19, 4, 40)):
+        throttle(random_graph(n, seed, percent))
+    assert sum(m * comb(m, t) for m, t in table) < 8 << 20
