@@ -4,17 +4,18 @@ classification of graphs whose throttling value is pinned by their shape.
 One union-join decomposition decides the cograph shapes: it splits a vertex
 set into the components of the graph (union) or of its complement (join),
 and a graph is a cograph exactly when every set of two or more vertices
-splits. The exhaustive four-vertex scans decide nothing in the classifier;
-they give the induced P4 and 2K2 that `interior` evidence prints, and they
-serve as an independent oracle in tests, since a graph is a cograph exactly
-when it has no induced path on four vertices.
+splits. The four-vertex scans decide nothing in the classifier; they give
+the lexicographically first induced P4 and 2K2 that `interior` evidence
+prints, and they serve as an independent check in tests, since a graph is a
+cograph exactly when it has no induced path on four vertices. They walk
+vertex pairs and read the third and fourth vertices from bit masks of
+`Graph.bit_adjacency` rows, not every four-vertex set.
 
 The value-2 shapes, a hub graph or a pendant corona plus disjoint edges, are
-read from the same bit-set components of `Graph.bit_adjacency` that the
-decomposition walks.
+read from the same rows: the K2 components are the edges whose two ends have
+degree one, so neither recognizer walks the components of the whole graph.
 """
 
-from itertools import combinations
 from typing import NamedTuple
 
 from .graph import Graph, _bit_components, from_edge_list, induced_subgraph
@@ -134,27 +135,57 @@ def cotree_graph(tree, n: int) -> Graph:
     return from_edge_list(n, edges)
 
 
-def _first_induced(g, degrees):
-    """First four-vertex set, in lexicographic order, whose sorted degrees in
-    the subgraph it induces equal `degrees`; else None."""
-    rows = g.bit_adjacency
-    for quad in combinations(range(g.n), 4):
-        a, b, c, d = quad
-        mask = 1 << a | 1 << b | 1 << c | 1 << d
-        if sorted([(rows[a] & mask).bit_count(), (rows[b] & mask).bit_count(),
-                   (rows[c] & mask).bit_count(), (rows[d] & mask).bit_count()]) == degrees:
-            return frozenset(quad)
+def _first_induced(g, p4):
+    """First four-vertex set, in lexicographic order, inducing a P4 (p4
+    true) or a 2K2 (p4 false); else None.
+
+    Any three vertices of a P4 or a 2K2 induce one or two edges, so for each
+    pair a < b the valid third vertices c > b are one mask of rows a and b. One
+    vertex f of the triple is related alike to the other two, u and w (a
+    path's middle, or the vertex off the edge), and the valid fourth
+    vertices, which see exactly one of u and w (P4) or neither (2K2) and see
+    f iff f is off the edge, are one mask too; d is its lowest bit above c.
+    Pairs, c and d ascend, so no earlier quad is skipped.
+    """
+    rows, n = g.bit_adjacency, g.n
+    full = (1 << n) - 1
+    for a in range(n):
+        ra = rows[a]
+        for b in range(a + 1, n):
+            rb, ab = rows[b], ra >> b & 1
+            if p4:
+                cs = ~(ra & rb) if ab else ra | rb
+            else:
+                cs = ~(ra | rb) if ab else ra ^ rb
+            cs &= full >> b + 1 << b + 1  # ~ gives negative integers
+            while cs:
+                c = (cs & -cs).bit_length() - 1
+                cs &= cs - 1
+                rc, ac, bc = rows[c], ra >> c & 1, rb >> c & 1
+                f, u, w = (ra, rb, rc) if ab == ac else (rb, ra, rc) if ab == bc else (rc, ra, rb)
+                if ab + ac + bc == 2:  # f is the middle of a path
+                    f = ~f
+                ds = (f & (u ^ w if p4 else ~(u | w)) & full) >> c + 1
+                if ds:
+                    return frozenset((a, b, c, c + (ds & -ds).bit_length()))
     return None
 
 
 def find_induced_p4(g: Graph):
     """First four-vertex set (lexicographic) inducing a path, else None."""
-    return _first_induced(g, [1, 1, 2, 2])
+    return _first_induced(g, True)
 
 
 def find_induced_2k2(g: Graph):
     """First four-vertex set inducing two disjoint edges, else None."""
-    return _first_induced(g, [1, 1, 1, 1])
+    return _first_induced(g, False)
+
+
+def _k2_vertices(rows):
+    """The bit set of vertices in K2 components: the ends of an edge whose
+    two ends both have degree one."""
+    return sum(1 << v for v, row in enumerate(rows)
+               if row.bit_count() == 1 and rows[row.bit_length() - 1].bit_count() == 1)
 
 
 def recognize_h_graph(g: Graph):
@@ -169,15 +200,15 @@ def recognize_h_graph(g: Graph):
     components; each of them meets it in one edge (a pendant path) or two
     (a triangle), so the counting fixes the same (s, t) whichever such
     vertex is found. Once s + 2t >= 3 the hub is the only vertex of its
-    degree.
+    degree. The core (g less its K2 components) is then connected: a
+    2-vertex component of the core less the hub that missed the hub would
+    be a K2 component of g.
     """
     rows = g.bit_adjacency
-    comps = _bit_components(rows, (1 << g.n) - 1)
-    rest = [c for c in comps if c.bit_count() != 2]
-    r = len(comps) - len(rest)
-    if len(rest) != 1 or g.n == 1:
+    pairs = _k2_vertices(rows)
+    core, r = (1 << g.n) - 1 ^ pairs, pairs.bit_count() // 2
+    if g.n == 1:
         return None
-    core = rest[0]
     members = [v for v in range(g.n) if core >> v & 1]
     m = len(members)
     t = sum(rows[v].bit_count() for v in members) // 2 - (m - 1)
@@ -199,9 +230,8 @@ def recognize_corona_k1(g: Graph):
     is relabeled to dense ids.
     """
     rows = g.bit_adjacency
-    comps = _bit_components(rows, (1 << g.n) - 1)
-    rest = [c for c in comps if c.bit_count() != 2]
-    kept, r = sum(rest), len(comps) - len(rest)
+    pairs = _k2_vertices(rows)
+    kept, r = (1 << g.n) - 1 ^ pairs, pairs.bit_count() // 2
     pendants = sum(1 << v for v in range(g.n) if kept >> v & 1 and rows[v].bit_count() == 1)
     core = kept ^ pendants
     members = [v for v in range(g.n) if core >> v & 1]

@@ -82,6 +82,17 @@ def labeled_extremes_mismatches(n: int, classify=classify_extremes):
     return sum(not _agrees(classify(g), brute_force_table(g)[0], n) for g in all_graphs(n))
 
 
+def brute_first_induced(g: Graph, degrees):
+    """Oracle for `szf.structure._first_induced`: the first four-vertex set,
+    in lexicographic order, whose sorted degrees in the subgraph it induces
+    equal `degrees` ([1, 1, 2, 2] for P4, [1, 1, 1, 1] for 2K2); else None.
+    Reads `has_edge` on every quad, not the bit rows."""
+    for quad in combinations(range(g.n), 4):
+        if sorted(sum(g.has_edge(u, v) for v in quad) for u in quad) == degrees:
+            return frozenset(quad)
+    return None
+
+
 def random_graph(n: int, seed: int, percent: int = 50) -> Graph:
     """Seeded labeled graph: each pair is an edge with the given percentage."""
     rng = SplitMix64(seed)

@@ -4,17 +4,19 @@ from hypothesis import strategies as st
 
 from szf.canon import canonical_form, graph_classes
 from szf.families import (
-    complete, complete_multipartite, corona_k1, cycle, empty, friendship,
-    h_graph, matching, path, spider, star,
+    complete, complete_multipartite, corona_k1, cycle, empty, family_graph,
+    friendship, h_graph, matching, path, spider, star,
 )
-from szf.graph import disjoint_union, from_edge_list, induced_subgraph
+from szf.graph import disjoint_union, from_edge_list, induced_subgraph, join
 from szf.structure import (
-    CotreeLeaf, CotreeNode, _splits, build_cotree, classify_extremes,
+    CotreeLeaf, CotreeNode, ExtremeClassification, _splits, build_cotree, classify_extremes,
     cotree_graph, find_induced_2k2, find_induced_p4, recognize_corona_k1,
     recognize_h_graph,
 )
 
-from helpers import all_graphs, brute_force_table, brute_isomorphic, random_graph
+from helpers import (
+    all_graphs, brute_first_induced, brute_force_table, brute_isomorphic, random_graph,
+)
 
 
 def test_find_p4_in_p4():
@@ -42,6 +44,45 @@ def test_patterns_reverify_as_induced_subgraphs():
         quad = find_induced_2k2(g)
         if quad is not None:
             assert brute_isomorphic(induced_subgraph(g, quad), matching(2))
+
+
+def _assert_scans_match_the_oracle(g):
+    assert find_induced_p4(g) == brute_first_induced(g, [1, 1, 2, 2]), list(g.edges())
+    assert find_induced_2k2(g) == brute_first_induced(g, [1, 1, 1, 1]), list(g.edges())
+
+
+def test_scans_match_the_oracle_on_every_labeled_graph_to_n6():
+    for n in range(7):
+        for g in all_graphs(n):
+            _assert_scans_match_the_oracle(g)
+
+
+def test_scans_match_the_oracle_on_every_relabeled_class_of_order_7():
+    for seed, g in enumerate(_class_graphs(7)):
+        _assert_scans_match_the_oracle(_relabeled(g, seed))
+
+
+@given(st.integers(8, 14), st.integers(0, 2 ** 16), st.integers(0, 100))
+@settings(max_examples=80, deadline=None)
+def test_scans_match_the_oracle_on_random_graphs_of_order_8_to_14(n, seed, percent):
+    _assert_scans_match_the_oracle(random_graph(n, seed, percent))
+
+
+@pytest.mark.parametrize("spec", ["cycle:40", "path:50", "hypercube:6", "spider:6,6"])
+def test_scans_match_the_oracle_on_relabeled_families(spec):
+    for seed in range(3):
+        _assert_scans_match_the_oracle(_relabeled(family_graph(spec), seed))
+
+
+@pytest.mark.parametrize("m", [55, 195])
+def test_large_join_of_c5_and_a_clique_has_a_p4_and_no_2k2(m):
+    # 2K2-free but not a cograph: the 2K2 scan finds nothing, and the
+    # exhaustive four-vertex scan would test every quad (C(200, 4) at m = 195).
+    g = join(cycle(5), complete(m))
+    assert find_induced_2k2(g) is None
+    assert find_induced_p4(g) == frozenset({0, 1, 2, 3})
+    assert classify_extremes(g) == ExtremeClassification(
+        "interior", None, {"form": "interior", "induced_p4": [0, 1, 2, 3]})
 
 
 def test_cotree_of_claw():
