@@ -4,11 +4,14 @@ The search enumerates initial sets by size k ascending and, within a size,
 in lexicographic order of the sorted id vector; the first optimum in that
 order is the canonical witness. Subsets are propagated in bit-sliced
 batches (Biham, "A fast new DES implementation in software", FSE 1997) that
-pack runs "prefix + every t-subset of s..n-1" side by side. A batch is one
-contiguous range of that order, so its first optimum is the lowest lane
-completing in its first completing round. The kernel, `_first_completion`,
-stops at that round and returns it with the lanes that complete in it, or
-None when the batch stalls or runs out of its round budget first.
+pack runs "prefix + every t-subset of s..n-1" side by side; a node too wide
+for one batch splits in two, the subsets with s and then those without it.
+A batch is one contiguous range of that order, so its first optimum is the
+lowest lane completing in its first completing round. The kernel,
+`_first_completion`, stops at that round and returns it with the lanes that
+complete in it, or None when the batch stalls or runs out of its round
+budget first. A vertex of degree 1 or 2 reads "exactly one white neighbour"
+from one word or one XOR; higher degrees use a saturating count.
 
 The reduction `_least` keeps, over the batches of one size, the first
 optimum in that order: each batch after a hit is budgeted to beat it.
@@ -77,6 +80,11 @@ def _first_completion(adj, blue, full, budget=None):
     for the first round, round 0 included, in which some lanes are entirely
     blue, or None when no lane makes progress, or when `budget` productive
     rounds pass without a completion. The caller's blue list is not modified.
+
+    A round reads the lanes where a vertex has exactly one white neighbour
+    as that neighbour's white word at degree 1, the XOR of the two at
+    degree 2, and a saturating count from degree 3 up; a vertex with no
+    white lane is not visited.
     """
     blue = list(blue)
     done = full
@@ -89,24 +97,34 @@ def _first_completion(adj, blue, full, budget=None):
         white = [full ^ b for b in blue]
         exactly_one = []
         for nb in adj:
-            # Saturating count of white neighbours: at least one, at least two.
-            ones = twos = 0
-            for w in nb:
-                x = white[w]
-                twos |= ones & x
-                ones |= x
-            exactly_one.append(ones ^ twos)  # twos is a subset of ones
-        progress = 0
+            if len(nb) == 2:
+                a, b = nb
+                exactly_one.append(white[a] ^ white[b])
+            elif len(nb) > 2:
+                # Saturating count of white neighbours: at least one, at least two.
+                it = iter(nb)
+                ones, twos = white[next(it)], 0
+                for w in it:
+                    x = white[w]
+                    twos |= ones & x
+                    ones |= x
+                exactly_one.append(ones ^ twos)  # twos is a subset of ones
+            else:  # degree 1 or 0
+                exactly_one.append(white[next(iter(nb))] if nb else 0)
+        stalled = True
         done = full
         for v, nb in enumerate(adj):
-            hit = 0
-            for u in nb:
+            if not (w := white[v]):
+                continue
+            it = iter(nb)
+            hit = exactly_one[next(it)] if nb else 0
+            for u in it:
                 hit |= exactly_one[u]
-            forced = white[v] & hit
-            progress |= forced
-            blue[v] |= forced
+            if forced := w & hit:
+                blue[v] |= forced
+                stalled = False
             done &= blue[v]
-        if not progress:
+        if stalled:
             return None
         rounds += 1
     return rounds, done
@@ -138,16 +156,18 @@ def _lane_words(m, t):
 
 def _batches(n, k):
     """The size-k subsets of range(n) as (per-vertex words, width) batches in
-    lexicographic order. A run is a first node "prefix + every t-subset of
-    s..n-1" of the lexicographic subset tree with at most LANE_CAP lanes; a
-    batch packs consecutive runs up to LANE_CAP lanes."""
+    lexicographic order. A node "prefix + every t-subset of s..n-1" with more
+    than LANE_CAP lanes splits in two: the subsets holding s, then those
+    without it. A run is a first node with at most LANE_CAP lanes, packed
+    from one lane word table entry; a batch packs consecutive runs up to
+    LANE_CAP lanes."""
     blue, width = [0] * n, 0
     stack = [((), 0, k)]  # (prefix, s, t); children go on last-first
     while stack:
         prefix, s, t = stack.pop()
         lanes = comb(n - s, t)
         if lanes > LANE_CAP:
-            stack += [(prefix + (v,), v + 1, t - 1) for v in range(n - t, s - 1, -1)]
+            stack += [(prefix, s + 1, t), (prefix + (s,), s + 1, t - 1)]
             continue
         if width + lanes > LANE_CAP:
             yield blue, width

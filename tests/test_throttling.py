@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szf.families import (
-    SplitMix64, complete, complete_multipartite, corona_k1, cycle, family_graph,
+    SplitMix64, complete, complete_multipartite, corona_k1, cycle, empty, family_graph,
     friendship, h_graph, hypercube, matching, path, spider, star,
 )
 from szf import throttling
 from szf.forcing import propagate
-from szf.graph import from_edge_list
+from szf.graph import disjoint_union, from_edge_list
 from szf.throttling import (
-    LANE_CAP, ThrottleResult, _first_completion, _lane_words, _least,
+    LANE_CAP, ThrottleResult, _batches, _first_completion, _lane_words, _least,
     min_propagation_time, skew_zero_forcing_number, throttle, throttle_with_bound,
     throttling_at_k,
 )
@@ -227,19 +227,14 @@ def test_small_lane_caps_match_brute_force_on_random_graphs(n, seed, percent):
             _assert_every_entry_point_matches(g, table)
 
 
-@given(st.integers(1, 9), st.integers(0, 2 ** 16), st.integers(0, 100), st.data())
-@settings(max_examples=80, deadline=None)
-def test_kernel_lanes_match_scalar_propagate(n, seed, percent, data):
-    g = random_graph(n, seed, percent)
-    j = data.draw(st.integers(0, n))
-    subsets = list(combinations(range(n), j))
-    budget = data.draw(st.none() | st.integers(0, n))
+def _assert_kernel_lanes_match_propagate(g, j, budget):
     # Lane i is the i-th j-subset in lexicographic order; a lane that stalls
     # (pt None) never completes, and a budget hides later completions.
+    subsets = list(combinations(range(g.n), j))
     pts = [propagate(g, s).pt for s in subsets]
     expected = [pt if pt is not None and (budget is None or pt <= budget) else None
                 for pt in pts]
-    words = _lane_words(n, j)
+    words = _lane_words(g.n, j)
     for i, pt in enumerate(expected):
         alone = _first_completion(g.adj, [w >> i & 1 for w in words], 1, budget)
         assert alone == (None if pt is None else (pt, 1)), (i, subsets[i])
@@ -250,6 +245,37 @@ def test_kernel_lanes_match_scalar_propagate(n, seed, percent, data):
         least = min(reached)
         first = least, sum(1 << i for i, pt in enumerate(expected) if pt == least)
     assert _first_completion(g.adj, words, (1 << len(subsets)) - 1, budget) == first
+
+
+@given(st.integers(1, 9), st.integers(0, 2 ** 16), st.integers(0, 100), st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernel_lanes_match_scalar_propagate(n, seed, percent, data):
+    g = random_graph(n, seed, percent)
+    j = data.draw(st.integers(0, n))
+    budget = data.draw(st.none() | st.integers(0, n))
+    _assert_kernel_lanes_match_propagate(g, j, budget)
+
+
+# Graphs of maximum degree <= 2, or with degree-0 and degree-1 vertices, where
+# the kernel reads "exactly one white neighbour" from one or two words.
+LOW_DEGREE_GRAPHS = {
+    "K1": complete(1), "K2": complete(2), "P3": path(3), "P5": path(5), "P9": path(9),
+    "C3": cycle(3), "C4": cycle(4), "C7": cycle(7), "C9": cycle(9),
+    "star:3": star(3), "star:8": star(8), "2K2": matching(2), "4K2": matching(4),
+    "3K1": empty(3), "9K1": empty(9), "K2+K1": disjoint_union(complete(2), empty(1)),
+    "P4+2K1": disjoint_union(path(4), empty(2)), "C5+K2+2K1": disjoint_union(
+        disjoint_union(cycle(5), complete(2)), empty(2)),
+    "K1+star:4+K1": disjoint_union(disjoint_union(empty(1), star(4)), empty(1)),
+}
+
+
+@pytest.mark.parametrize("name", LOW_DEGREE_GRAPHS)
+def test_kernel_lanes_match_scalar_propagate_at_low_degree(name):
+    g = LOW_DEGREE_GRAPHS[name]
+    assert 1 <= g.n <= 9 and min(map(len, g.adj)) <= 2
+    for j in range(g.n + 1):
+        for budget in (None, 0, 1, 2):
+            _assert_kernel_lanes_match_propagate(g, j, budget)
 
 
 def test_kernel_reports_a_lane_complete_at_round_zero_under_budget_zero():
@@ -356,6 +382,40 @@ def test_lane_word_table_holds_only_batch_widths(monkeypatch):
     assert table
     assert all(comb(m, t) <= LANE_CAP for m, t in table)
     assert all(type(words) is tuple for words in table.values())
+
+
+@pytest.mark.parametrize("cap", [1, 3, 64, LANE_CAP])
+def test_batches_hold_every_subset_in_lexicographic_order(monkeypatch, cap):
+    # Batch after batch, the lanes are the size-k subsets in lexicographic
+    # order; each batch holds at most cap lanes, and no two neighbours could
+    # be merged into one.
+    monkeypatch.setattr(throttling, "LANE_CAP", cap)
+    for n in range(15):
+        for k in range(n + 1):
+            batches = list(_batches(n, k))
+            widths = [width for _, width in batches]
+            assert all(1 <= width <= cap for width in widths), (n, k)
+            assert all(b >> width == 0 for blue, width in batches for b in blue)
+            assert all(a + b > cap for a, b in zip(widths, widths[1:])), (n, k)
+            lanes = [tuple(v for v, b in enumerate(blue) if b >> i & 1)
+                     for blue, width in batches for i in range(width)]
+            assert lanes == list(combinations(range(n), k)), (n, k)
+
+
+@pytest.mark.parametrize("spec, most", [("cycle:24", 30), ("spider:5,5", 45)])
+def test_a_solve_packs_few_runs(monkeypatch, spec, most):
+    # Each run's words come from one _lane_words call. A node over LANE_CAP
+    # splits in two (with s, without s), so the tail of small runs after the
+    # last wide first vertex is one run, not one per first vertex.
+    runs = []
+
+    def counting(m, t):
+        runs.append((m, t))
+        return _lane_words(m, t)
+
+    monkeypatch.setattr(throttling, "_lane_words", counting)
+    throttle(family_graph(spec))
+    assert len(runs) <= most
 
 
 @pytest.mark.parametrize("seed", range(6))
