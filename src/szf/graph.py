@@ -87,8 +87,9 @@ class Graph(NamedTuple("_GraphFields", [("n", int), ("adj", tuple[frozenset[int]
 
         `_layers` walks it, and `structure` reads it for the union-join
         decomposition, the hub and corona recognizers and the four-vertex
-        scans. The propagation kernel does not: its integers are indexed by
-        subset, not by vertex, and it walks `adj`. The value is cached on
+        scans, and `throttling` for the closures of its greedy forcing set and
+        Z- descent. The propagation kernel does not: its integers are indexed
+        by subset, not by vertex, and it walks `adj`. The value is cached on
         first use and is safe to share since the graph is immutable.
         """
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)

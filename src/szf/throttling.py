@@ -15,15 +15,23 @@ from one word or one XOR; higher degrees use a saturating count.
 
 The reduction `_least` keeps, over the batches of one size, the first
 optimum in that order: each batch after a hit is budgeted to beat it.
-The Z- scan starts at the floor max(δ(G) - 1, 0): if S != V forces, some
-vertex u has exactly one white neighbour in round 1, so
-|S| >= deg(u) - 1 >= δ(G) - 1, and no smaller size can hold a forcing set.
-Sizes from the floor up to Z-(G) run without a round budget: the first
-size where it finds a set is Z-(G), where skew_zero_forcing_number stops,
-and its value there is pt_minimum, where min_propagation_time stops.
-throttle goes on from Z-(G) + 1 while k is below the best value,
-budgeting size k to best - k rounds, so sizes that tie the best still
-count in per_k, while only a smaller value replaces the witness.
+
+Z-(G) is found by descent, not by an ascending scan. Skew forcing is
+monotone: if S is a subset of T, every vertex blue after round r from S is
+blue after round r from T, so every superset of a forcing set forces, and a
+size with no forcing set has none below it either. A greedy on bit masks
+gives a forcing set, pruned to a minimal one; its size is the first bound k.
+While k is above the floor max(δ(G) - 1, 0) and some set of size k - 1
+forces (the lowest completing lane of the first batch that has one, read
+without a round budget), that set is pruned in turn and k falls to its
+size. The floor holds because if S != V forces, some vertex u has exactly
+one white neighbour in round 1, so |S| >= deg(u) - 1 >= δ(G) - 1. So only
+size Z- - 1 is scanned in full and found empty, and no size is when Z- is
+the floor. skew_zero_forcing_number stops there. `_least` at Z-(G) gives
+pt_minimum, where min_propagation_time stops, and the first witness; throttle
+goes on from Z-(G) + 1 while k is below the best value, budgeting size k to
+best - k rounds, so sizes that tie the best still count in per_k, while
+only a smaller value replaces the witness.
 """
 
 from math import comb
@@ -180,6 +188,12 @@ def _batches(n, k):
     yield blue, width
 
 
+def _lowest_lane(blue, lanes):
+    """The set held by the lowest lane of `lanes` in a batch's words."""
+    lane = (lanes & -lanes).bit_length() - 1
+    return frozenset(v for v, b in enumerate(blue) if b >> lane & 1)
+
+
 def _least(g, k, limit=None):
     """(pt, subset) for the first size-k set in lexicographic order with the
     least propagation time within `limit` rounds, or None.
@@ -191,22 +205,83 @@ def _least(g, k, limit=None):
     for blue, width in _batches(g.n, k):
         if hit := _first_completion(g.adj, blue, (1 << width) - 1, limit):
             pt, lanes = hit
-            lane = (lanes & -lanes).bit_length() - 1
-            least = pt, frozenset(v for v, b in enumerate(blue) if b >> lane & 1)
+            least = pt, _lowest_lane(blue, lanes)
             limit = pt - 1
     return least
 
 
-def _first_forcing(g):
-    """(Z-(G), pt, subset): the first size from the floor max(δ(G) - 1, 0)
-    with a forcing set, and _least there."""
+def _closure(rows, blue):
+    """The blue mask where skew forcing from the mask `blue` stops: in each
+    round, every row whose white part is one bit forces that bit."""
+    full = (1 << len(rows)) - 1
+    while white := full ^ blue:
+        forced = 0
+        for row in rows:
+            if not (w := row & white) & (w - 1):  # no bit or one bit
+                forced |= w
+        if not forced:
+            break
+        blue |= forced
+    return blue
+
+
+def _pruned(rows, chosen):
+    """The forcing mask `chosen` less each vertex, lowest first, whose removal
+    still leaves a forcing set."""
+    full = (1 << len(rows)) - 1
+    for v in range(len(rows)):
+        if chosen >> v & 1 and _closure(rows, chosen ^ 1 << v) == full:
+            chosen ^= 1 << v
+    return chosen
+
+
+def _greedy(g):
+    """A forcing set as a bit mask: add the white vertex with the most white
+    neighbours, lowest id on ties, until the closure is full, then prune.
+    Growing from the last closure is exact: the final blue set of S + v is
+    that of closure(S) + v."""
+    rows, full = g.bit_adjacency, (1 << g.n) - 1
+    chosen, blue = 0, _closure(rows, 0)
+    while white := full ^ blue:
+        most = -1
+        for u, row in enumerate(rows):
+            if white >> u & 1 and (c := (row & white).bit_count()) > most:
+                most, v = c, u
+        chosen |= 1 << v
+        blue = _closure(rows, blue | 1 << v)
+    return _pruned(rows, chosen)
+
+
+def _some_forcing(g, k):
+    """A size-k forcing set as a bit mask, or None: the lowest completing lane
+    of the first batch that has one, without a round budget."""
+    for blue, width in _batches(g.n, k):
+        if hit := _first_completion(g.adj, blue, (1 << width) - 1):
+            return sum(1 << v for v in _lowest_lane(blue, hit[1]))
+    return None
+
+
+def _z_minus(g):
+    """Z-(G), by descent from the greedy bound: while some set one smaller
+    forces, prune it to the new bound. Only the last test, at Z- - 1, scans
+    a size in full, and none does when Z- is the floor max(δ(G) - 1, 0)."""
     floor = max(min(map(len, g.adj), default=0) - 1, 0)
-    return next((k, *hit) for k in range(floor, g.n + 1) if (hit := _least(g, k)))
+    k = _greedy(g).bit_count()
+    while k > floor and (found := _some_forcing(g, k - 1)) is not None:
+        k = _pruned(g.bit_adjacency, found).bit_count()
+    return k
+
+
+def _first_forcing(g):
+    """(Z-(G), pt, subset): Z- from the descent of `_z_minus`, then `_least`
+    there, the least pt over minimum forcing sets and the first such set."""
+    z = _z_minus(g)
+    return (z, *_least(g, z))
 
 
 def skew_zero_forcing_number(g: Graph) -> int:
     """Least k such that some size-k set forces the whole graph; may be 0."""
-    return _first_forcing(g)[0]
+    return _z_minus(g)
 
 
 def min_propagation_time(g: Graph) -> int:

@@ -7,7 +7,9 @@ a genuinely independent check of values and witnesses.
 """
 
 from itertools import combinations, permutations
+from typing import NamedTuple
 
+from szf import throttling
 from szf.cli import _agrees
 from szf.graph import Graph, from_edge_list
 from szf.families import SplitMix64
@@ -63,6 +65,32 @@ def brute_force_table(g: Graph):
                 best = th
                 witness = frozenset(comb)
     return best, witness, z, ptm, per_k
+
+
+class Batch(NamedTuple):
+    """One `_first_completion` call: the size of every lane's set, the number
+    of lanes, the round budget (None for none), the result, and the words."""
+
+    size: int
+    width: int
+    budget: int | None
+    hit: tuple[int, int] | None
+    blue: list[int]
+
+
+def record_batches(monkeypatch):
+    """Wrap `szf.throttling._first_completion` for one test; returns the list
+    that gets one Batch per call, in call order."""
+    batches = []
+    kernel = throttling._first_completion
+
+    def recording(adj, blue, full, budget=None):
+        hit = kernel(adj, blue, full, budget)
+        batches.append(Batch(sum(b & 1 for b in blue), full.bit_length(), budget, hit, blue))
+        return hit
+
+    monkeypatch.setattr(throttling, "_first_completion", recording)
+    return batches
 
 
 def all_graphs(n: int):

@@ -9,9 +9,9 @@ from szf.forcing import (
     verify_ball_cover,
 )
 from szf.graph import from_edge_list
-from szf.throttling import throttle
+from szf.throttling import _closure, throttle
 
-from helpers import random_graph, simple_propagation_rounds
+from helpers import all_graphs, random_graph, simple_propagation_rounds
 
 
 def test_white_vertex_with_single_white_neighbor_forces():
@@ -169,6 +169,36 @@ def test_blue_sets_grow_monotonically_with_initial_set(n, seed, data):
     if tr_small.completed:
         assert tr_big.completed
         assert tr_big.pt <= tr_small.pt
+
+
+def test_forcing_is_monotone_in_the_initial_set_to_order_5():
+    # The lemma behind the Z- descent: for S a subset of T, if S forces then T
+    # forces no slower, and T ends with every vertex S ends with. Masks run
+    # over every pair S <= T of every labeled graph.
+    pairs = 0
+    for n in range(6):
+        for g in all_graphs(n):
+            traces = [propagate(g, [v for v in range(n) if s >> v & 1]) for s in range(1 << n)]
+            for t, big in enumerate(traces):
+                s = t
+                while True:  # every submask s of t, t itself included
+                    small = traces[s]
+                    assert small.final_blue <= big.final_blue
+                    if small.completed:
+                        assert big.completed and big.pt <= small.pt
+                    pairs += 1
+                    if not s:
+                        break
+                    s = (s - 1) & t
+    assert pairs == sum(3 ** n * 2 ** (n * (n - 1) // 2) for n in range(6))
+
+
+def test_bit_mask_closure_matches_propagate_to_order_5():
+    for n in range(6):
+        for g in all_graphs(n):
+            for s in range(1 << n):
+                blue = propagate(g, [v for v in range(n) if s >> v & 1]).final_blue
+                assert _closure(g.bit_adjacency, s) == sum(1 << v for v in blue), (g, s)
 
 
 @given(st.integers(0, 8), st.integers(0, 2 ** 16), st.integers(0, 255))

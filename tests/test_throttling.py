@@ -20,7 +20,7 @@ from szf.throttling import (
     throttling_at_k,
 )
 
-from helpers import all_graphs, brute_force_table, random_graph
+from helpers import all_graphs, brute_force_table, random_graph, record_batches
 
 
 def test_forcing_number_examples():
@@ -427,15 +427,7 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
     n = 7 + seed // 2
     g = random_graph(n, seed, 40)
     rng = SplitMix64(seed)
-    recorded = []
-
-    def recording(adj, blue, full, budget=None):
-        lanes = [tuple(v for v, b in enumerate(blue) if b >> i & 1)
-                 for i in range(full.bit_length())]
-        recorded.append(lanes)
-        return _first_completion(adj, blue, full, budget)
-
-    monkeypatch.setattr(throttling, "_first_completion", recording)
+    recorded = record_batches(monkeypatch)
     for cap in (3, 8, 16):
         monkeypatch.setattr(throttling, "LANE_CAP", cap)
         batch_counts = []
@@ -443,10 +435,13 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
             for limit in (None, rng.below(n + 1)):
                 recorded.clear()
                 least = _least(g, k, limit)
-                subsets = [s for lanes in recorded for s in lanes]
+                runs = [[tuple(v for v, b in enumerate(batch.blue) if b >> i & 1)
+                         for i in range(batch.width)] for batch in recorded]
+                subsets = [s for lanes in runs for s in lanes]
                 assert subsets == list(combinations(range(n), k))
-                assert all(len(lanes) <= cap for lanes in recorded)
-                assert all(len(a) + len(b) > cap for a, b in zip(recorded, recorded[1:]))
+                assert all(batch.size == k for batch in recorded)
+                assert all(len(lanes) <= cap for lanes in runs)
+                assert all(len(a) + len(b) > cap for a, b in zip(runs, runs[1:]))
                 done = [(pt, i) for i, s in enumerate(subsets)
                         if (pt := propagate(g, s).pt) is not None
                         and (limit is None or pt <= limit)]
@@ -467,23 +462,24 @@ def _floor(g):
 
 @pytest.mark.parametrize("spec", ["star:20"])
 def test_high_z_graphs_run_many_full_batches_at_the_real_cap(monkeypatch, spec):
-    # Z- = n - 2 and δ = 1, so every size up to n - 2 is searched without a
-    # budget; C(n, n/2) is far above LANE_CAP, so the middle sizes take many
-    # batches.
+    # Z- = n - 2 and δ = 1. The greedy bound is Z- itself, so throttle scans
+    # size n - 3 once, without a hit, then size n - 2: a few batches. A
+    # middle size still takes many full batches: C(21, 10) = 352,716 lanes.
     g = family_graph(spec)
-    widths = []
-
-    def counting(adj, blue, full, budget=None):
-        widths.append(full.bit_length())
-        return _first_completion(adj, blue, full, budget)
-
-    monkeypatch.setattr(throttling, "_first_completion", counting)
+    batches = record_batches(monkeypatch)
     r = throttle(g)
     assert r.th == g.n - 1  # the value n - 1 of the paper's characterization
     assert (r.z_minus, r.pt_minimum) == (g.n - 2, 1)
     trace = propagate(g, r.witness)
     assert trace.completed and r.k + trace.pt == r.th
-    assert max(widths) > LANE_CAP // 2 and len(widths) > 2 * g.n
+    assert len(batches) <= 3
+    batches.clear()
+    k = g.n // 2
+    assert throttling_at_k(g, k) is None
+    widths = [b.width for b in batches]
+    assert sum(widths) == comb(g.n, k) and len(widths) > comb(g.n, k) // LANE_CAP
+    assert max(widths) > LANE_CAP // 2
+    assert all(b.size == k and b.budget is None and b.hit is None for b in batches)
 
 
 FLOORED_RESULTS = {
@@ -495,22 +491,71 @@ FLOORED_RESULTS = {
 
 @pytest.mark.parametrize("spec", FLOORED_RESULTS)
 def test_scan_runs_no_batch_below_the_min_degree_floor(monkeypatch, spec):
-    # K20 has δ = n - 1, so its floor n - 2 is Z- itself; K(4,4,4,4) has
-    # δ = 12 and Z- = 14, so sizes 11-13 are still scanned in full.
+    # K20 has δ = n - 1, so its floor n - 2 is Z- itself and no size below
+    # it is scanned; K(4,4,4,4) has δ = 12 and Z- = 14, so the descent scans
+    # size 13 and nothing below it.
     g = family_graph(spec)
-    sizes = []
-
-    def recording(adj, blue, full, budget=None):
-        sizes.append(sum(b & 1 for b in blue))  # every lane of a batch has one size
-        return _first_completion(adj, blue, full, budget)
-
-    monkeypatch.setattr(throttling, "_first_completion", recording)
+    batches = record_batches(monkeypatch)
     r = throttle(g)
     assert r == FLOORED_RESULTS[spec]
     assert r.th == g.n - 1  # the value n - 1 of the paper's characterization
-    assert min(sizes) == _floor(g)
+    z, floor = r.z_minus, _floor(g)
+    assert min(b.size for b in batches) == (z if z == floor else z - 1) >= floor
     trace = propagate(g, r.witness)
     assert trace.completed and r.k + trace.pt == r.th
+
+
+def test_forcing_number_runs_no_batch_at_z_minus(monkeypatch):
+    # The descent ends with one empty scan at size 13; the size itself needs
+    # no scan, only pt_minimum and the witness do.
+    g = family_graph("complete_multipartite:4,4,4,4")
+    batches = record_batches(monkeypatch)
+    assert skew_zero_forcing_number(g) == 14
+    assert [b.size for b in batches] == [13]
+    assert batches[0].hit is None
+
+
+def _assert_one_empty_scan(g, batches):
+    """floor <= Z- <= U for the greedy bound U, whose set forces under scalar
+    propagate, and at most one size scanned without a budget ends without a
+    hit: Z- - 1, or none when Z- is the floor."""
+    batches.clear()
+    r = throttle(g)
+    floor, greedy = _floor(g), throttling._greedy(g)
+    assert floor <= r.z_minus <= greedy.bit_count()
+    assert propagate(g, [v for v in range(g.n) if greedy >> v & 1]).completed
+    unbudgeted = [b for b in batches if b.budget is None]
+    empty = {b.size for b in unbudgeted} - {b.size for b in unbudgeted if b.hit}
+    assert empty == ({r.z_minus - 1} if r.z_minus > floor else set()), g
+
+
+def test_descent_scans_one_empty_size_to_order_5(monkeypatch):
+    batches = record_batches(monkeypatch)
+    for n in range(6):
+        for g in all_graphs(n):
+            _assert_one_empty_scan(g, batches)
+
+
+@pytest.mark.parametrize("n, percent", [(16, 40), (17, 50), (18, 60), (16, 70), (19, 30)])
+def test_descent_scans_one_empty_size_on_random_graphs(monkeypatch, n, percent):
+    batches = record_batches(monkeypatch)
+    for seed in range(3):
+        _assert_one_empty_scan(random_graph(n, seed, percent), batches)
+
+
+def test_pruned_sets_force_and_are_minimal_to_order_5():
+    # Pruning the whole vertex set can drop many sizes at once: on star:20
+    # it leaves n - 2 vertices.
+    star20 = family_graph("star:20")
+    assert throttling._pruned(star20.bit_adjacency, (1 << star20.n) - 1).bit_count() == 19
+    for n in range(6):
+        for g in all_graphs(n):
+            full = (1 << n) - 1
+            for chosen in (full, throttling._greedy(g)):
+                kept = throttling._pruned(g.bit_adjacency, chosen)
+                members = [v for v in range(n) if kept >> v & 1]
+                assert kept & ~chosen == 0 and propagate(g, members).completed
+                assert not any(propagate(g, set(members) - {v}).completed for v in members)
 
 
 def test_no_set_below_the_min_degree_floor_forces_to_order_6():
