@@ -199,13 +199,17 @@ def _least(g, k, limit=None):
     least propagation time within `limit` rounds, or None.
 
     A batch's first optimum is its lowest lane completing in its first
-    completing round; each batch after a hit is budgeted to beat it.
+    completing round; each batch after a hit is budgeted to beat it. A hit
+    with pt <= 1 ends the scan: only the set of all n vertices completes in
+    0 rounds, and size n is one batch of one lane.
     """
     least = None
     for blue, width in _batches(g.n, k):
         if hit := _first_completion(g.adj, blue, (1 << width) - 1, limit):
             pt, lanes = hit
             least = pt, _lowest_lane(blue, lanes)
+            if pt <= 1:
+                break
             limit = pt - 1
     return least
 

@@ -423,7 +423,8 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
     # A batch packs whole runs "prefix + every t-subset of s..n-1". Its lanes,
     # batch after batch, are the size-k subsets in lexicographic order; each
     # holds at most LANE_CAP lanes but no room for the next run. _least reads
-    # the first (pt, lane) minimum over all of them, within a drawn limit.
+    # the first (pt, lane) minimum over all of them, within a drawn limit,
+    # and stops after the first batch with a hit in 0 or 1 rounds.
     n = 7 + seed // 2
     g = random_graph(n, seed, 40)
     rng = SplitMix64(seed)
@@ -438,20 +439,48 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
                 runs = [[tuple(v for v, b in enumerate(batch.blue) if b >> i & 1)
                          for i in range(batch.width)] for batch in recorded]
                 subsets = [s for lanes in runs for s in lanes]
-                assert subsets == list(combinations(range(n), k))
+                every = list(combinations(range(n), k))
+                fast = [i for i, batch in enumerate(recorded) if batch.hit and batch.hit[0] <= 1]
+                assert fast in ([], [len(recorded) - 1])
+                assert subsets == (every[:len(subsets)] if fast else every)
                 assert all(batch.size == k for batch in recorded)
                 assert all(len(lanes) <= cap for lanes in runs)
                 assert all(len(a) + len(b) > cap for a, b in zip(runs, runs[1:]))
-                done = [(pt, i) for i, s in enumerate(subsets)
+                done = [(pt, i) for i, s in enumerate(every)
                         if (pt := propagate(g, s).pt) is not None
                         and (limit is None or pt <= limit)]
                 expected = None
                 if done:
                     pt, i = min(done)
-                    expected = pt, frozenset(subsets[i])
+                    expected = pt, frozenset(every[i])
                 assert least == expected, (cap, k, limit)
             batch_counts.append(len(recorded))
         assert max(batch_counts) > 1
+
+
+def test_least_stops_after_a_hit_in_one_round(monkeypatch):
+    # spider:5,5 ties th = 7 at size 6 with pt 1 in the second batch of that
+    # size. No set smaller than n completes in 0 rounds, so the batches after
+    # that hit, which could only run at budget 0 (16 of them), are not packed.
+    g = family_graph("spider:5,5")
+    batches = record_batches(monkeypatch)
+    r = throttle(g)
+    assert (r.th, r.k, r.pt, r.per_k) == (7, 4, 3, {4: 7, 6: 7})
+    assert batches[-1].size == 6 and batches[-1].hit[0] == 1
+    assert all(b.budget != 0 for b in batches)
+    assert sum(b.width for b in batches if b.size == 6) < comb(g.n, 6)
+
+
+def test_throttle_and_throttling_at_k_match_brute_force_to_order_6():
+    for n in range(7):
+        for g in all_graphs(n):
+            th, witness, z, ptm, per_k = brute_force_table(g)
+            r = throttle(g)
+            optimal = {k: v for k, v in per_k.items() if v == th}
+            assert (r.th, r.witness, r.per_k, r.z_minus, r.pt_minimum) == (
+                th, witness, optimal, z, ptm)
+            assert [throttling_at_k(g, k) for k in range(n + 1)] == [
+                per_k.get(k) for k in range(n + 1)]
 
 
 def _floor(g):
