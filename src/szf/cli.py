@@ -155,7 +155,7 @@ _LABELING_NOTES = {
 
 def cmd_family(args) -> int:
     g = _load_graph(args, _MAX_G6_ORDER, "(the most vertices graph6 can encode)")
-    name = args.family.split(":", 1)[0].split("(", 1)[0]
+    name = args.family.split(":", 1)[0].split("(", 1)[0].strip()
     note = _LABELING_NOTES.get(name, "dense ids per generator documentation")
     print(f"# family={args.family} n={g.n} labeling: {note}")
     sys.stdout.write(to_graph6(g) + "\n" if args.emit == "graph6" else format_edge_list(g))

@@ -13,8 +13,11 @@ complete in it, or None when the batch stalls or runs out of its round
 budget first. A vertex of degree 1 or 2 reads "exactly one white neighbour"
 from one word or one XOR; higher degrees use a saturating count.
 
-The reduction `_least` keeps, over the batches of one size, the first
-optimum in that order: each batch after a hit is budgeted to beat it.
+One generator, `_hits`, walks the batches of one size and yields each set
+that beats every earlier one: each batch after a hit is budgeted to beat
+it, and its hit is its first optimum. It serves both uses: the Z- descent
+reads its first hit, and the reduction `_least` reads its last, the first
+optimum of the size in that order.
 
 Z-(G) is found by descent, not by an ascending scan. Skew forcing is
 monotone: if S is a subset of T, every vertex blue after round r from S is
@@ -22,16 +25,16 @@ blue after round r from T, so every superset of a forcing set forces, and a
 size with no forcing set has none below it either. A greedy on bit masks
 gives a forcing set, pruned to a minimal one; its size is the first bound k.
 While k is above the floor max(δ(G) - 1, 0) and some set of size k - 1
-forces (the lowest completing lane of the first batch that has one, read
-without a round budget), that set is pruned in turn and k falls to its
-size. The floor holds because if S != V forces, some vertex u has exactly
-one white neighbour in round 1, so |S| >= deg(u) - 1 >= δ(G) - 1. So only
-size Z- - 1 is scanned in full and found empty, and no size is when Z- is
-the floor. skew_zero_forcing_number stops there. `_least` at Z-(G) gives
-pt_minimum, where min_propagation_time stops, and the first witness; throttle
-goes on from Z-(G) + 1 while k is below the best value, budgeting size k to
-best - k rounds, so sizes that tie the best still count in per_k, while
-only a smaller value replaces the witness.
+forces (the first hit of `_hits`, read without a round budget), that set is
+pruned in turn and k falls to its size. The floor holds because if S != V
+forces, some vertex u has exactly one white neighbour in round 1, so
+|S| >= deg(u) - 1 >= δ(G) - 1. So only size Z- - 1 is scanned in full and
+found empty, and no size is when Z- is the floor. skew_zero_forcing_number
+stops there. `_least` at Z-(G) gives pt_minimum, where min_propagation_time
+stops, and the first witness; throttle goes on from Z-(G) + 1 while k is
+below the best value, budgeting size k to best - k rounds, so sizes that
+tie the best still count in per_k, while only a smaller value replaces the
+witness.
 """
 
 from math import comb
@@ -188,29 +191,31 @@ def _batches(n, k):
     yield blue, width
 
 
-def _lowest_lane(blue, lanes):
-    """The set held by the lowest lane of `lanes` in a batch's words."""
-    lane = (lanes & -lanes).bit_length() - 1
-    return frozenset(v for v, b in enumerate(blue) if b >> lane & 1)
+def _hits(g, k, limit=None):
+    """(pt, subset) for each size-k set, in lexicographic order, that takes
+    fewer rounds than every earlier one and at most `limit` rounds.
 
-
-def _least(g, k, limit=None):
-    """(pt, subset) for the first size-k set in lexicographic order with the
-    least propagation time within `limit` rounds, or None.
-
-    A batch's first optimum is its lowest lane completing in its first
+    A batch's first such set is its lowest lane completing in its first
     completing round; each batch after a hit is budgeted to beat it. A hit
     with pt <= 1 ends the scan: only the set of all n vertices completes in
     0 rounds, and size n is one batch of one lane.
     """
-    least = None
     for blue, width in _batches(g.n, k):
         if hit := _first_completion(g.adj, blue, (1 << width) - 1, limit):
             pt, lanes = hit
-            least = pt, _lowest_lane(blue, lanes)
+            lane = (lanes & -lanes).bit_length() - 1
+            yield pt, frozenset(v for v, b in enumerate(blue) if b >> lane & 1)
             if pt <= 1:
-                break
+                return
             limit = pt - 1
+
+
+def _least(g, k, limit=None):
+    """(pt, subset) for the first size-k set in lexicographic order with the
+    least propagation time within `limit` rounds, or None: the last hit."""
+    least = None
+    for least in _hits(g, k, limit):
+        pass
     return least
 
 
@@ -256,31 +261,15 @@ def _greedy(g):
     return _pruned(rows, chosen)
 
 
-def _some_forcing(g, k):
-    """A size-k forcing set as a bit mask, or None: the lowest completing lane
-    of the first batch that has one, without a round budget."""
-    for blue, width in _batches(g.n, k):
-        if hit := _first_completion(g.adj, blue, (1 << width) - 1):
-            return sum(1 << v for v in _lowest_lane(blue, hit[1]))
-    return None
-
-
 def _z_minus(g):
     """Z-(G), by descent from the greedy bound: while some set one smaller
     forces, prune it to the new bound. Only the last test, at Z- - 1, scans
     a size in full, and none does when Z- is the floor max(δ(G) - 1, 0)."""
     floor = max(min(map(len, g.adj), default=0) - 1, 0)
     k = _greedy(g).bit_count()
-    while k > floor and (found := _some_forcing(g, k - 1)) is not None:
-        k = _pruned(g.bit_adjacency, found).bit_count()
+    while k > floor and (hit := next(_hits(g, k - 1), None)):
+        k = _pruned(g.bit_adjacency, sum(1 << v for v in hit[1])).bit_count()
     return k
-
-
-def _first_forcing(g):
-    """(Z-(G), pt, subset): Z- from the descent of `_z_minus`, then `_least`
-    there, the least pt over minimum forcing sets and the first such set."""
-    z = _z_minus(g)
-    return (z, *_least(g, z))
 
 
 def skew_zero_forcing_number(g: Graph) -> int:
@@ -290,7 +279,7 @@ def skew_zero_forcing_number(g: Graph) -> int:
 
 def min_propagation_time(g: Graph) -> int:
     """Minimum propagation time over minimum skew forcing sets."""
-    return _first_forcing(g)[1]
+    return _least(g, _z_minus(g))[0]
 
 
 def throttling_at_k(g: Graph, k: int) -> int | None:
@@ -306,7 +295,8 @@ def throttling_at_k(g: Graph, k: int) -> int | None:
 
 def throttle(g: Graph) -> ThrottleResult:
     """Globally optimal skew throttling with the canonical witness."""
-    z, ptm, witness = _first_forcing(g)
+    z = _z_minus(g)
+    ptm, witness = _least(g, z)
     best = z + ptm
     per_k = {z: best}
     k = z + 1

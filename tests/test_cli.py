@@ -277,9 +277,11 @@ def test_empty_family_spec_is_a_parse_failure(capsys, argv):
 
 
 def test_family_cycle_output_is_unchanged(capsys):
-    code, out, _ = run_cli(capsys, "family", "cycle:4")
-    assert (code, out) == (0, "# family=cycle:4 n=4 labeling: vertices 0..n-1 in ring order, "
-                               "edge (n-1,0) closes the cycle\nCl\n")
+    # The note reads the family name as the spec parser does, blanks stripped.
+    for spec in ("cycle:4", " cycle:4", "cycle :4"):
+        code, out, _ = run_cli(capsys, "family", spec)
+        assert (code, out) == (0, f"# family={spec} n=4 labeling: vertices 0..n-1 in ring "
+                                  "order, edge (n-1,0) closes the cycle\nCl\n"), spec
 
 
 @pytest.mark.parametrize("emit", ["graph6", "edgelist"])

@@ -1,3 +1,4 @@
+import ast
 import sys
 import threading
 from itertools import combinations
@@ -15,7 +16,7 @@ from szf import throttling
 from szf.forcing import propagate
 from szf.graph import disjoint_union, from_edge_list
 from szf.throttling import (
-    LANE_CAP, ThrottleResult, _batches, _first_completion, _lane_words, _least,
+    LANE_CAP, ThrottleResult, _batches, _first_completion, _hits, _lane_words, _least,
     min_propagation_time, skew_zero_forcing_number, throttle, throttle_with_bound,
     throttling_at_k,
 )
@@ -422,9 +423,11 @@ def test_a_solve_packs_few_runs(monkeypatch, spec, most):
 def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
     # A batch packs whole runs "prefix + every t-subset of s..n-1". Its lanes,
     # batch after batch, are the size-k subsets in lexicographic order; each
-    # holds at most LANE_CAP lanes but no room for the next run. _least reads
-    # the first (pt, lane) minimum over all of them, within a drawn limit,
-    # and stops after the first batch with a hit in 0 or 1 rounds.
+    # holds at most LANE_CAP lanes but no room for the next run. Within a
+    # drawn limit, _hits yields sets of strictly falling pt, the first one
+    # the first (pt, lane) minimum of the first batch with a hit, and stops
+    # after a hit in 0 or 1 rounds; _least reads its last hit, the first
+    # (pt, lane) minimum over every size-k subset.
     n = 7 + seed // 2
     g = random_graph(n, seed, 40)
     rng = SplitMix64(seed)
@@ -433,29 +436,45 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
         monkeypatch.setattr(throttling, "LANE_CAP", cap)
         batch_counts = []
         for k in range(n + 1):
+            every = list(combinations(range(n), k))
+            scalar = {s: propagate(g, s).pt for s in every}
             for limit in (None, rng.below(n + 1)):
                 recorded.clear()
-                least = _least(g, k, limit)
+                hits = list(_hits(g, k, limit))
                 runs = [[tuple(v for v, b in enumerate(batch.blue) if b >> i & 1)
                          for i in range(batch.width)] for batch in recorded]
+                batch_counts.append(len(runs))
                 subsets = [s for lanes in runs for s in lanes]
-                every = list(combinations(range(n), k))
                 fast = [i for i, batch in enumerate(recorded) if batch.hit and batch.hit[0] <= 1]
                 assert fast in ([], [len(recorded) - 1])
                 assert subsets == (every[:len(subsets)] if fast else every)
                 assert all(batch.size == k for batch in recorded)
                 assert all(len(lanes) <= cap for lanes in runs)
                 assert all(len(a) + len(b) > cap for a, b in zip(runs, runs[1:]))
-                done = [(pt, i) for i, s in enumerate(every)
-                        if (pt := propagate(g, s).pt) is not None
-                        and (limit is None or pt <= limit)]
+                fits = {s: pt for s, pt in scalar.items()
+                        if pt is not None and (limit is None or pt <= limit)}
+                # (pt, subset) tuples order as (pt, lane): lanes are lexicographic.
+                firsts = [min(done) for lanes in runs
+                          if (done := [(fits[s], s) for s in lanes if s in fits])]
+                assert hits[:1] == [(pt, frozenset(s)) for pt, s in firsts[:1]], (cap, k, limit)
+                assert all(a[0] > b[0] for a, b in zip(hits, hits[1:])), (cap, k, limit)
                 expected = None
-                if done:
-                    pt, i = min(done)
-                    expected = pt, frozenset(every[i])
-                assert least == expected, (cap, k, limit)
-            batch_counts.append(len(recorded))
+                if fits:
+                    pt, s = min((pt, s) for s, pt in fits.items())
+                    expected = pt, frozenset(s)
+                assert _least(g, k, limit) == (hits[-1] if hits else None) == expected, (
+                    cap, k, limit)
         assert max(batch_counts) > 1
+
+
+def test_only_hits_walks_the_kernel_batches():
+    # One loop runs the kernel over the batches of a size, so budgets,
+    # counters and filters on that loop have one place to go.
+    tree = ast.parse(open(throttling.__file__, encoding="utf-8").read())
+    users = {name: [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                    and any(isinstance(x, ast.Name) and x.id == name for x in ast.walk(node))]
+             for name in ("_batches", "_first_completion")}
+    assert users == {"_batches": ["_hits"], "_first_completion": ["_hits"]}
 
 
 def test_least_stops_after_a_hit_in_one_round(monkeypatch):
