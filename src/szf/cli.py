@@ -150,6 +150,11 @@ _LABELING_NOTES = {
     "matching": "edge i joins 2i and 2i+1",
     "gadget_cycle": "base vertices 0..L-1 first, gadget pairs appended",
     "gadget_path": "base vertices 0..L-1 first, gadget pairs appended",
+    "star": "center 0, leaves 1..p",
+    "complete_multipartite": "part i is a contiguous id block, parts in spec order",
+    "corona_k1": "inner spec's m vertices first, then vertex i's K1 copy at m+i (graph.corona)",
+    "corona_k2": "inner spec's m vertices first, then vertex i's K2 copy at m+2i, m+2i+1 "
+                 "(graph.corona)",
 }
 
 

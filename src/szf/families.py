@@ -15,6 +15,7 @@ Square-root ceilings are computed with integer arithmetic only; the tie
 cases (an exact .5) are precisely where float rounding goes wrong.
 """
 
+from itertools import combinations
 from math import isqrt
 import re
 from typing import NamedTuple
@@ -75,17 +76,9 @@ def complete_multipartite(parts) -> Graph:
     sizes = list(parts)
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("every part must have at least one vertex")
-    n = sum(sizes)
-    bounds = []
-    start = 0
-    for s in sizes:
-        bounds.append((start, start + s))
-        start += s
-    edges = []
-    for a, (lo1, hi1) in enumerate(bounds):
-        for lo2, hi2 in bounds[a + 1:]:
-            edges.extend((u, v) for u in range(lo1, hi1) for v in range(lo2, hi2))
-    return from_edge_list(n, edges)
+    part = [i for i, s in enumerate(sizes) for _ in range(s)]
+    return from_edge_list(len(part), [(u, v) for u, v in combinations(range(len(part)), 2)
+                                      if part[u] != part[v]])
 
 
 def hypercube(n: int) -> Graph:

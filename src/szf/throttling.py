@@ -30,11 +30,14 @@ pruned in turn and k falls to its size. The floor holds because if S != V
 forces, some vertex u has exactly one white neighbour in round 1, so
 |S| >= deg(u) - 1 >= δ(G) - 1. So only size Z- - 1 is scanned in full and
 found empty, and no size is when Z- is the floor. skew_zero_forcing_number
-stops there. `_least` at Z-(G) gives pt_minimum, where min_propagation_time
-stops, and the first witness; throttle goes on from Z-(G) + 1 while k is
-below the best value, budgeting size k to best - k rounds, so sizes that
-tie the best still count in per_k, while only a smaller value replaces the
-witness.
+stops there, and min_propagation_time after `_least` at Z-(G). throttle
+is one loop over sizes k from Z-(G) while k is below the best value,
+budgeting size k to best - k rounds. Size Z- is the loop's first size, at
+best = n + 1 (V forces in 0 rounds, so th <= n); that budget cuts nothing,
+as a lane still forcing at round r has at least k + r blue vertices, so by
+round n - k every lane has completed or stalled. The least time at Z- is
+pt_minimum. Sizes that tie the best still count in per_k, while only a
+smaller value replaces the witness.
 """
 
 from math import comb
@@ -261,8 +264,10 @@ def _greedy(g):
     return _pruned(rows, chosen)
 
 
-def _z_minus(g):
-    """Z-(G), by descent from the greedy bound: while some set one smaller
+def skew_zero_forcing_number(g: Graph) -> int:
+    """Least k such that some size-k set forces the whole graph; may be 0.
+
+    Found by descent from the greedy bound: while some set one smaller
     forces, prune it to the new bound. Only the last test, at Z- - 1, scans
     a size in full, and none does when Z- is the floor max(δ(G) - 1, 0)."""
     floor = max(min(map(len, g.adj), default=0) - 1, 0)
@@ -272,14 +277,9 @@ def _z_minus(g):
     return k
 
 
-def skew_zero_forcing_number(g: Graph) -> int:
-    """Least k such that some size-k set forces the whole graph; may be 0."""
-    return _z_minus(g)
-
-
 def min_propagation_time(g: Graph) -> int:
     """Minimum propagation time over minimum skew forcing sets."""
-    return _least(g, _z_minus(g))[0]
+    return _least(g, skew_zero_forcing_number(g))[0]
 
 
 def throttling_at_k(g: Graph, k: int) -> int | None:
@@ -295,14 +295,11 @@ def throttling_at_k(g: Graph, k: int) -> int | None:
 
 def throttle(g: Graph) -> ThrottleResult:
     """Globally optimal skew throttling with the canonical witness."""
-    z = _z_minus(g)
-    ptm, witness = _least(g, z)
-    best = z + ptm
-    per_k = {z: best}
-    k = z + 1
+    z = skew_zero_forcing_number(g)
+    best, per_k = g.n + 1, {}
+    k = z
     while k < best:
-        hit = _least(g, k, best - k)
-        if hit is not None:
+        if hit := _least(g, k, best - k):
             pt, subset = hit
             per_k[k] = k + pt
             if k + pt < best:
@@ -313,7 +310,7 @@ def throttle(g: Graph) -> ThrottleResult:
     return ThrottleResult(
         th=best, witness=witness, k=kw, pt=best - kw,
         per_k={k: v for k, v in per_k.items() if v == best},
-        z_minus=z, pt_minimum=ptm,
+        z_minus=z, pt_minimum=per_k[z] - z,
     )
 
 

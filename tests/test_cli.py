@@ -276,12 +276,23 @@ def test_empty_family_spec_is_a_parse_failure(capsys, argv):
     assert (code, out, err.strip()) == (2, "", "error: unknown family ''")
 
 
-def test_family_cycle_output_is_unchanged(capsys):
+def test_family_prints_its_labeling_note(capsys):
     # The note reads the family name as the spec parser does, blanks stripped.
     for spec in ("cycle:4", " cycle:4", "cycle :4"):
         code, out, _ = run_cli(capsys, "family", spec)
         assert (code, out) == (0, f"# family={spec} n=4 labeling: vertices 0..n-1 in ring "
                                   "order, edge (n-1,0) closes the cycle\nCl\n"), spec
+    # Wrapped and parameter-list specs print their own fixed labeling too.
+    for spec, n, note in [
+        ("corona_k1(cycle:4)", 8,
+         "inner spec's m vertices first, then vertex i's K1 copy at m+i (graph.corona)"),
+        ("corona_k2(path:3)", 9, "inner spec's m vertices first, then vertex i's K2 copy "
+                                 "at m+2i, m+2i+1 (graph.corona)"),
+        ("star:3", 4, "center 0, leaves 1..p"),
+        ("complete_multipartite:2,3", 5, "part i is a contiguous id block, parts in spec order"),
+    ]:
+        code, out, _ = run_cli(capsys, "family", spec)
+        assert (code, out.splitlines()[0]) == (0, f"# family={spec} n={n} labeling: {note}")
 
 
 @pytest.mark.parametrize("emit", ["graph6", "edgelist"])

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,14 @@ def test_cycle_4_is_the_square_hypercube():
 
 def test_multipartite_1_3_is_the_claw():
     assert complete_multipartite([1, 3]) == star(3)
+
+
+@pytest.mark.parametrize("parts", [[1], [3], [1, 1], [2, 3], [3, 1, 2], [4, 4, 4, 4], [1, 5, 1, 2, 3]])
+def test_multipartite_edges_match_networkx(parts):
+    # networkx also numbers the parts as contiguous blocks in the order given.
+    g = complete_multipartite(parts)
+    assert g.n == sum(parts)
+    assert set(g.edges()) == {tuple(sorted(e)) for e in nx.complete_multipartite_graph(*parts).edges()}
 
 
 def test_matching_shape():

@@ -468,13 +468,18 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
 
 
 def test_only_hits_walks_the_kernel_batches():
-    # One loop runs the kernel over the batches of a size, so budgets,
-    # counters and filters on that loop have one place to go.
+    # One loop runs the kernel over the batches of a size, and one loop in
+    # throttle runs the sizes, so budgets, counters and filters on each loop
+    # have one place to go.
     tree = ast.parse(open(throttling.__file__, encoding="utf-8").read())
     users = {name: [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                     and any(isinstance(x, ast.Name) and x.id == name for x in ast.walk(node))]
              for name in ("_batches", "_first_completion")}
     assert users == {"_batches": ["_hits"], "_first_completion": ["_hits"]}
+    # throttle runs every size, Z- included, through one call of _least.
+    throttle_def = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "throttle")
+    assert sum(isinstance(x, ast.Name) and x.id == "_least" for x in ast.walk(throttle_def)) == 1
 
 
 def test_least_stops_after_a_hit_in_one_round(monkeypatch):
