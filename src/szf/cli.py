@@ -98,7 +98,7 @@ def _load_graph(args, limit=math.inf, hint="(set --max-n or SZF_MAX_N)") -> Grap
     """The input graph. Every source gives its order before it is decoded, and
     one above `limit` raises _OverLimit without building the graph."""
     if getattr(args, "family", None) is not None:
-        n, build = _family(args.family)
+        n, build, _ = _family(args.family)
     else:
         n, build = (_graph6 if args.format == "graph6" else _edge_list)(_input_text(args))
     if n > limit:
@@ -139,30 +139,9 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-_LABELING_NOTES = {
-    "path": "vertices 0..n-1 in path order",
-    "cycle": "vertices 0..n-1 in ring order, edge (n-1,0) closes the cycle",
-    "spider": "center 0, leg j occupies 1+j*leg..(j+1)*leg outward",
-    "hypercube": "vertices are n-bit integers, edges at Hamming distance 1",
-    "h": "hub 0, then pendant pairs, triangle pairs, extra edge pairs",
-    "h_graph": "hub 0, then pendant pairs, triangle pairs, extra edge pairs",
-    "friendship": "hub 0, then triangle pairs",
-    "matching": "edge i joins 2i and 2i+1",
-    "gadget_cycle": "base vertices 0..L-1 first, gadget pairs appended",
-    "gadget_path": "base vertices 0..L-1 first, gadget pairs appended",
-    "star": "center 0, leaves 1..p",
-    "complete_multipartite": "part i is a contiguous id block, parts in spec order",
-    "corona_k1": "inner spec's m vertices first, then vertex i's K1 copy at m+i (graph.corona)",
-    "corona_k2": "inner spec's m vertices first, then vertex i's K2 copy at m+2i, m+2i+1 "
-                 "(graph.corona)",
-}
-
-
 def cmd_family(args) -> int:
     g = _load_graph(args, _MAX_G6_ORDER, "(the most vertices graph6 can encode)")
-    name = args.family.split(":", 1)[0].split("(", 1)[0].strip()
-    note = _LABELING_NOTES.get(name, "dense ids per generator documentation")
-    print(f"# family={args.family} n={g.n} labeling: {note}")
+    print(f"# family={args.family} n={g.n} labeling: {_family(args.family)[2]}")
     sys.stdout.write(to_graph6(g) + "\n" if args.emit == "graph6" else format_edge_list(g))
     return EXIT_OK
 

@@ -1,15 +1,7 @@
 """Graph family generators, closed-form throttling evaluators, and specs.
 
-Labeling conventions (stable, so witnesses in reports are meaningful):
-
-* path(n): 0 - 1 - ... - (n-1); cycle(n) adds the edge (n-1, 0)
-* hypercube(n): vertices are n-bit integers, edges at Hamming distance 1
-* spider(p, leg): center 0; leg j occupies 1+j*leg .. (j+1)*leg outward
-* h_graph(s, t, r): hub b = 0; pendant path pairs (x_i, y_i) follow, then
-  triangle pairs (z_i, w_i), then r disjoint edge pairs
-* matching(r): edge i joins 2i and 2i+1
-* gadget graphs: base vertices 0..L-1 first, gadget pairs appended in
-  base-vertex order
+Each family's fixed vertex labeling, which makes witnesses meaningful, is
+the last field of its `_FAMILIES` row, and `szf family` prints it.
 
 Square-root ceilings are computed with integer arithmetic only; the tie
 cases (an exact .5) are precisely where float rounding goes wrong.
@@ -379,21 +371,46 @@ def family_graph(spec: str) -> Graph:
 
 
 def _gadget(base: str):
-    """The (arity, order, build) entry of the seeded gadget family on `base`."""
+    """The (arity, order, build) fields of the seeded gadget family on `base`;
+    its `_FAMILIES` row appends the labeling."""
     return (2, lambda length, seed: random_gadget_spec(base, length, seed).order,
             lambda length, seed: gadget_family(random_gadget_spec(base, length, seed)))
 
 
+_FAMILIES = {  # name: (arity, order, build, labeling)
+    "path": (1, lambda n: n, path, "vertices 0..n-1 in path order"),
+    "cycle": (1, lambda n: n, cycle,
+              "vertices 0..n-1 in ring order, edge (n-1,0) closes the cycle"),
+    "complete": (1, lambda n: n, complete, "vertices 0..n-1, every pair adjacent"),
+    "empty": (1, lambda n: n, empty, "vertices 0..n-1, no edges"),
+    "star": (1, lambda p: p + 1, star, "center 0, leaves 1..p"),
+    "matching": (1, lambda r: 2 * r, matching, "edge i joins 2i and 2i+1"),
+    "hypercube": (1, lambda d: 2 ** d, hypercube,
+                  "vertices are n-bit integers, edges at Hamming distance 1"),
+    "friendship": (1, lambda t: 2 * t + 1, friendship, "hub 0, then triangle pairs"),
+    "spider": (2, lambda p, leg: p * leg + 1, spider,
+               "center 0, leg j occupies 1+j*leg..(j+1)*leg outward"),
+    "h": (3, lambda s, t, r: 1 + 2 * (s + t + r), h_graph,
+          "hub 0, then pendant pairs, triangle pairs, extra edge pairs"),
+    "gadget_cycle": (*_gadget("cycle"), "base vertices 0..L-1 first, gadget pairs appended"),
+    "gadget_path": (*_gadget("path"), "base vertices 0..L-1 first, gadget pairs appended"),
+}
+_FAMILIES["h_graph"] = _FAMILIES["h"]
+
+
 def _family(spec: str):
-    """(order, build) of a family spec: the order of its graph, computed from
-    the parameters without building anything, and a function that builds
-    the graph. Parameters out of a builder's range raise only from build."""
+    """(order, build, labeling) of a family spec: the order of its graph,
+    computed from the parameters without building anything, a function that
+    builds the graph, and the text of its vertex labeling. Parameters out of
+    a builder's range raise only from build."""
     text = spec.strip()
     m = _CORONA_RE.match(text)
     if m:
-        order, inner = _family(m.group(2))
-        wrap = corona_k1 if m.group(1) == "1" else corona_k2
-        return order * (1 + int(m.group(1))), lambda: wrap(inner())
+        order, inner, _ = _family(m.group(2))
+        wrap, copy = ((corona_k1, "K1 copy at m+i") if m.group(1) == "1"
+                      else (corona_k2, "K2 copy at m+2i, m+2i+1"))
+        return (order * (1 + int(m.group(1))), lambda: wrap(inner()),
+                f"inner spec's m vertices first, then vertex i's {copy} (graph.corona)")
     name, _, arg_text = text.partition(":")
     name = name.strip()
     try:
@@ -404,21 +421,11 @@ def _family(spec: str):
     if name == "complete_multipartite":
         if not args:
             raise ValueError("complete_multipartite needs at least one part")
-        return sum(args), lambda: complete_multipartite(args)
-    builders = {  # name: (arity, order, build)
-        "path": (1, lambda n: n, path), "cycle": (1, lambda n: n, cycle),
-        "complete": (1, lambda n: n, complete), "empty": (1, lambda n: n, empty),
-        "star": (1, lambda p: p + 1, star),
-        "matching": (1, lambda r: 2 * r, matching), "hypercube": (1, lambda d: 2 ** d, hypercube),
-        "friendship": (1, lambda t: 2 * t + 1, friendship),
-        "spider": (2, lambda p, leg: p * leg + 1, spider),
-        "h": (3, lambda s, t, r: 1 + 2 * (s + t + r), h_graph),
-        "h_graph": (3, lambda s, t, r: 1 + 2 * (s + t + r), h_graph),
-        "gadget_cycle": _gadget("cycle"), "gadget_path": _gadget("path"),
-    }
-    if name not in builders:
+        return (sum(args), lambda: complete_multipartite(args),
+                "part i is a contiguous id block, parts in spec order")
+    if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}")
-    arity, order, build = builders[name]
+    arity, order, build, labeling = _FAMILIES[name]
     if len(args) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(args)}")
-    return order(*args), lambda: build(*args)
+    return order(*args), lambda: build(*args), labeling

@@ -6,6 +6,7 @@ size) but shares none of the solver's pruning or seeding logic, so it is
 a genuinely independent check of values and witnesses.
 """
 
+from functools import cache
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -38,11 +39,14 @@ def simple_propagation_rounds(g: Graph, blue_set):
     return rounds
 
 
+@cache
 def brute_force_table(g: Graph):
     """Exhaustive throttling data: (th, witness, z_minus, pt_minimum, per_k).
 
     per_k holds the true optimum for every feasible size; the witness is
-    the first optimal set in canonical order.
+    the first optimal set in canonical order. Graphs hash by value, so the
+    sweeps over every graph of a small order share one table; callers only
+    read the result.
     """
     best = None
     witness = None

@@ -10,7 +10,9 @@ import pytest
 import szf.cli
 from szf.canon import graph_classes
 from szf.cli import CAMPAIGNS, _all_graphs_stats, _corona_base_graph, _formula_row, main
-from szf.families import corona_k1, corona_k2, cycle, friendship, h_graph
+from szf.families import (
+    _FAMILIES, corona_k1, corona_k2, cycle, family_graph, friendship, h_graph,
+)
 from szf.formats import format_edge_list, from_graph6, parse_edge_list, to_graph6
 from szf.forcing import is_skew_forcing_set, propagate
 from szf.graph import components
@@ -165,6 +167,23 @@ def test_graph6_order_is_guarded_before_the_graph_is_decoded(capsys, monkeypatch
         2, "", "error: truncated graph6 bit stream", [])
 
 
+@pytest.mark.parametrize("text, fmt, message", [
+    ("", "graph6", "empty graph6 string"),
+    ("~AB\n", "graph6", "truncated graph6 order field"),
+    ("~~AAAAAA\n", "graph6", "graph6 orders above 258047 are not supported"),
+    ("", "edgelist", "empty edge-list input"),
+    ("1 2 3\n", "edgelist", "expected 'n m' header, got '1 2 3'"),
+    ("2 1\n0 1 2\n", "edgelist", "expected 'u v' edge line, got '0 1 2'"),
+    ("2 1\n0 x\n", "edgelist", "non-integer edge line '0 x'"),
+], ids=["g6-empty", "g6-order-field", "g6-order-258048", "el-empty", "el-header",
+        "el-edge-arity", "el-edge-int"])
+def test_malformed_input_is_a_parse_failure(tmp_path, capsys, text, fmt, message):
+    source = tmp_path / "input.txt"
+    source.write_text(text)
+    code, out, err = run_cli(capsys, "compute", "--input", str(source), "--format", fmt)
+    assert (code, out, err.strip()) == (2, "", f"error: {message}")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("compute",), "exceeds the limit 26 (set --max-n or SZF_MAX_N)"),
     (("classify", "--check"), "exceeds the limit 26 for --check"),
@@ -282,17 +301,45 @@ def test_family_prints_its_labeling_note(capsys):
         code, out, _ = run_cli(capsys, "family", spec)
         assert (code, out) == (0, f"# family={spec} n=4 labeling: vertices 0..n-1 in ring "
                                   "order, edge (n-1,0) closes the cycle\nCl\n"), spec
-    # Wrapped and parameter-list specs print their own fixed labeling too.
-    for spec, n, note in [
-        ("corona_k1(cycle:4)", 8,
-         "inner spec's m vertices first, then vertex i's K1 copy at m+i (graph.corona)"),
-        ("corona_k2(path:3)", 9, "inner spec's m vertices first, then vertex i's K2 copy "
-                                 "at m+2i, m+2i+1 (graph.corona)"),
-        ("star:3", 4, "center 0, leaves 1..p"),
-        ("complete_multipartite:2,3", 5, "part i is a contiguous id block, parts in spec order"),
-    ]:
+    # Every family prints the labeling of its own row, as do the wrappers and
+    # the parameter-list family; none falls back to a generic note.
+    notes = {
+        "path:3": "vertices 0..n-1 in path order",
+        "cycle:4": "vertices 0..n-1 in ring order, edge (n-1,0) closes the cycle",
+        "complete:3": "vertices 0..n-1, every pair adjacent",
+        "empty:3": "vertices 0..n-1, no edges",
+        "star:3": "center 0, leaves 1..p",
+        "matching:2": "edge i joins 2i and 2i+1",
+        "hypercube:2": "vertices are n-bit integers, edges at Hamming distance 1",
+        "friendship:2": "hub 0, then triangle pairs",
+        "spider:3,2": "center 0, leg j occupies 1+j*leg..(j+1)*leg outward",
+        "h:1,1,1": "hub 0, then pendant pairs, triangle pairs, extra edge pairs",
+        "h_graph:0,1,0": "hub 0, then pendant pairs, triangle pairs, extra edge pairs",
+        "gadget_cycle:10,3": "base vertices 0..L-1 first, gadget pairs appended",
+        "gadget_path:5,2": "base vertices 0..L-1 first, gadget pairs appended",
+        "complete_multipartite:2,3": "part i is a contiguous id block, parts in spec order",
+        "corona_k1(cycle:4)":
+            "inner spec's m vertices first, then vertex i's K1 copy at m+i (graph.corona)",
+        "corona_k2(path:3)": "inner spec's m vertices first, then vertex i's K2 copy "
+                             "at m+2i, m+2i+1 (graph.corona)",
+    }
+    assert set(_FAMILIES) <= {spec.split(":")[0] for spec in notes}
+    for spec, note in notes.items():
         code, out, _ = run_cli(capsys, "family", spec)
+        n = family_graph(spec).n
         assert (code, out.splitlines()[0]) == (0, f"# family={spec} n={n} labeling: {note}")
+        assert "dense ids" not in out
+
+
+@pytest.mark.parametrize("fmt", ["graph6", "edgelist"])
+@pytest.mark.parametrize("spec", ["cycle:4", "spider:3,2", "corona_k1(path:3)"])
+def test_family_output_reads_back_as_compute_input(tmp_path, capsys, spec, fmt):
+    # `compute --input` skips the '#' labeling line that `szf family` prints first.
+    _, text, _ = run_cli(capsys, "family", spec, "--emit", fmt)
+    source = tmp_path / "graph.txt"
+    source.write_text(text)
+    code, out, _ = run_cli(capsys, "compute", "--input", str(source), "--format", fmt)
+    assert (code, out) == run_cli(capsys, "compute", "--family", spec)[:2]
 
 
 @pytest.mark.parametrize("emit", ["graph6", "edgelist"])

@@ -54,6 +54,14 @@ def test_generator_minimums():
         spider(2, 3)
     with pytest.raises(ValueError):
         friendship(0)
+    with pytest.raises(ValueError, match="^leaf count must be nonnegative$"):
+        star(-1)
+    with pytest.raises(ValueError, match="^edge count must be nonnegative$"):
+        matching(-1)
+    with pytest.raises(ValueError, match="^legs need at least one vertex$"):
+        spider(3, 0)
+    with pytest.raises(ValueError, match="^parameters must be nonnegative$"):
+        h_graph(-1, 0, 1)
 
 
 def test_spider_labeling():
@@ -147,6 +155,9 @@ def test_spider_f_bound_values():
     assert spider_f_bound(4, 2) == (Fraction(1), Fraction(6))
     assert spider_f_bound(4, 3) == (Fraction(2), Fraction(12))
     assert spider_f_bound(2, 2) == (Fraction(1), Fraction(6))
+    # p*leg a perfect square above the integer candidate: f is the exact root.
+    assert spider_f_bound(2, 8) == (Fraction(2), Fraction(12))
+    assert spider_f_bound(3, 27) == (Fraction(9, 2), Fraction(27))
     with pytest.raises(ValueError):
         spider_f_bound(1, 2)
 
@@ -175,6 +186,8 @@ def test_diameter_bound_predicate():
     assert diameter_lower_bound(16) == Fraction(15, 4)
     with pytest.raises(ValueError):
         diameter_lower_bound(3)
+    with pytest.raises(ValueError, match="^diameter must be nonnegative$"):
+        diameter_bound_holds(1, -1)
 
 
 def test_diameter_predicate_agrees_with_reals():
@@ -187,6 +200,8 @@ def test_splitmix64_reference_values():
     rng = SplitMix64(1234567)
     assert rng.next_u64() == 6457827717110365317
     assert rng.next_u64() == 3203168211198807973
+    with pytest.raises(ValueError, match="^bound must be positive$"):
+        SplitMix64(1).below(0)
 
 
 def test_gadget_spec_validation():
@@ -289,7 +304,7 @@ def test_family_spec_strings():
     "gadget_path:10,42", "path:5", "complete:4", "star:3", "hypercube:3",
 ])
 def test_family_order_is_known_before_the_build(spec):
-    order, build = _family(spec)
+    order, build, _ = _family(spec)
     assert order == build().n == family_graph(spec).n
 
 

@@ -44,6 +44,11 @@ def test_truncated_stream_rejected():
         from_graph6("Bww")  # trailing data
 
 
+def test_encoding_refuses_orders_above_the_long_form():
+    with pytest.raises(ValueError, match="^graph6 encoding supports at most 258047 vertices$"):
+        to_graph6(from_edge_list(258048, []))
+
+
 def test_long_form_order_boundary():
     g = from_edge_list(63, [(0, 62)])
     text = to_graph6(g)

@@ -132,6 +132,20 @@ def test_ball_examples():
     assert ball(p5, 2, 0) == frozenset({2})
 
 
+def test_out_of_range_arguments_are_refused():
+    p3 = path(3)
+    for call in (lambda: distance(p3, 0, 3), lambda: distance(p3, -1, 0),
+                 lambda: ball(p3, 3, 1)):
+        with pytest.raises(ValueError, match="^vertex out of range$"):
+            call()
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        ball(p3, 0, -1)
+    with pytest.raises(ValueError, match="^corona needs a nonempty first factor$"):
+        corona(from_edge_list(0, []), complete(1))
+    with pytest.raises(ValueError, match="^minimum degree of the empty graph is undefined$"):
+        min_degree(from_edge_list(0, []))
+
+
 def test_ball_saturates_to_component():
     g = disjoint_union(path(4), cycle(3))
     for v in range(g.n):

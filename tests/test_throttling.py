@@ -110,6 +110,8 @@ def test_throttle_with_bound_rejects_bound_below_optimum():
         throttle_with_bound(cycle(8), 3)  # true value is 4
     with pytest.raises(ValueError):
         throttle_with_bound(from_edge_list(3, []), 2)  # edgeless optimum is 3
+    with pytest.raises(ValueError, match="^bound must be nonnegative$"):
+        throttle_with_bound(cycle(8), -1)
 
 
 def test_edge_guarantees_th_at_most_n_minus_1():
