@@ -19,6 +19,22 @@ it, and its hit is its first optimum. It serves both uses: the Z- descent
 reads its first hit, and the reduction `_least` reads its last, the first
 optimum of the size in that order.
 
+`_hits` also reads a floor on the propagation time of size k from the
+degree sequence alone. A vertex that forces in a round forces exactly one
+vertex and has deg - 1 blue neighbours, so the round's forcers, one per
+forced vertex, have a total deg - 1 of at most the degree sum of the blue
+vertices. With s_0 = k, at most s_{r+1} = s_r + m(s_r) vertices are blue
+after round r + 1, where m(s) is the most vertices, least deg - 1 first,
+whose deg - 1 sum to at most the sum of the s largest degrees; s + m(s)
+does not fall as s grows, so the bound carries from round to round. The
+least t with s_t >= n is the floor. When s stops below n no size-k set
+forces, and the floor is n - k + 1, one round more than any size-k forcing
+set takes, as each of its rounds blues a vertex. So no batch runs under a
+round budget below the floor, and a hit at the floor ends the scan, as no
+later set can beat it. For k < n the floor is at least 1: the old stop
+after a hit in one round is this rule's k < n case, and size n is one
+batch of one lane.
+
 Z-(G) is found by descent, not by an ascending scan. Skew forcing is
 monotone: if S is a subset of T, every vertex blue after round r from S is
 blue after round r from T, so every superset of a forcing set forces, and a
@@ -194,22 +210,54 @@ def _batches(n, k):
     yield blue, width
 
 
+def _pt_floor(g, k):
+    """A lower bound on the propagation time of every size-k forcing set:
+    the least t with s_t >= n, where s_0 = k and s_{r+1} is s_r plus the
+    most vertices, least deg - 1 first, whose deg - 1 sum to at most the
+    sum of the s_r largest degrees. When s stops below n, no size-k set
+    forces, and the bound is n - k + 1, one round more than any size-k
+    forcing set could take."""
+    degrees = sorted(map(len, g.adj), reverse=True)
+    costs = [d - 1 for d in reversed(degrees) if d]  # an isolated vertex never forces
+    s, t, reach, spent, m = k, 0, sum(degrees[:k]), 0, 0
+    while s < g.n:
+        # reach only grows, so the count m of the least costs that fit does too.
+        while m < len(costs) and spent + costs[m] <= reach:
+            spent += costs[m]
+            m += 1
+        if not m:
+            return g.n - k + 1
+        reach += sum(degrees[s:s + m])
+        s, t = s + m, t + 1
+    return t
+
+
 def _hits(g, k, limit=None):
     """(pt, subset) for each size-k set, in lexicographic order, that takes
     fewer rounds than every earlier one and at most `limit` rounds.
 
     A batch's first such set is its lowest lane completing in its first
-    completing round; each batch after a hit is budgeted to beat it. A hit
-    with pt <= 1 ends the scan: only the set of all n vertices completes in
-    0 rounds, and size n is one batch of one lane.
+    completing round; each batch after a hit is budgeted to beat it. No
+    size-k set completes in fewer than `_pt_floor(g, k)` rounds, so no batch
+    runs under a limit below the floor: not the first, and not the one after
+    a hit at the floor. For k < n the floor is at least 1, so a hit in one
+    round always ends the scan. The floor is read at the first batch whose
+    limit is at most n - k, as a larger one is above every floor: the
+    descent's unbudgeted tests and throttle's first size never compute it,
+    nor does a size of one batch after its hit. The price is one batch
+    packed and not run where the floor cuts a size or ends its scan.
     """
+    floor = None
     for blue, width in _batches(g.n, k):
+        if limit is not None and limit <= g.n - k:
+            if floor is None:
+                floor = _pt_floor(g, k)
+            if limit < floor:
+                return
         if hit := _first_completion(g.adj, blue, (1 << width) - 1, limit):
             pt, lanes = hit
             lane = (lanes & -lanes).bit_length() - 1
             yield pt, frozenset(v for v, b in enumerate(blue) if b >> lane & 1)
-            if pt <= 1:
-                return
             limit = pt - 1
 
 

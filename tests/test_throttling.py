@@ -13,6 +13,7 @@ from szf.families import (
     friendship, h_graph, hypercube, matching, path, spider, star,
 )
 from szf import throttling
+from szf.canon import graph_classes
 from szf.forcing import propagate
 from szf.graph import disjoint_union, from_edge_list
 from szf.throttling import (
@@ -427,9 +428,11 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
     # batch after batch, are the size-k subsets in lexicographic order; each
     # holds at most LANE_CAP lanes but no room for the next run. Within a
     # drawn limit, _hits yields sets of strictly falling pt, the first one
-    # the first (pt, lane) minimum of the first batch with a hit, and stops
-    # after a hit in 0 or 1 rounds; _least reads its last hit, the first
-    # (pt, lane) minimum over every size-k subset.
+    # the first (pt, lane) minimum of the first batch with a hit; _least
+    # reads its last hit, the first (pt, lane) minimum over every size-k
+    # subset. No batch runs under a limit below the floor of size k, and
+    # the last batch run is the first whose hit reaches the floor, or the
+    # last batch of the size when no hit does.
     n = 7 + seed // 2
     g = random_graph(n, seed, 40)
     rng = SplitMix64(seed)
@@ -447,9 +450,13 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
                          for i in range(batch.width)] for batch in recorded]
                 batch_counts.append(len(runs))
                 subsets = [s for lanes in runs for s in lanes]
-                fast = [i for i, batch in enumerate(recorded) if batch.hit and batch.hit[0] <= 1]
-                assert fast in ([], [len(recorded) - 1])
-                assert subsets == (every[:len(subsets)] if fast else every)
+                floor = throttling._pt_floor(g, k)
+                low = [i for i, batch in enumerate(recorded) if batch.hit and batch.hit[0] <= floor]
+                assert low in ([], [len(recorded) - 1])
+                if limit is not None and limit < floor:
+                    assert recorded == []
+                else:
+                    assert subsets == (every[:len(subsets)] if low else every)
                 assert all(batch.size == k for batch in recorded)
                 assert all(len(lanes) <= cap for lanes in runs)
                 assert all(len(a) + len(b) > cap for a, b in zip(runs, runs[1:]))
@@ -487,7 +494,7 @@ def test_only_hits_walks_the_kernel_batches():
 def test_least_stops_after_a_hit_in_one_round(monkeypatch):
     # spider:5,5 ties th = 7 at size 6 with pt 1 in the second batch of that
     # size. No set smaller than n completes in 0 rounds, so the batches after
-    # that hit, which could only run at budget 0 (16 of them), are not packed.
+    # that hit, which could only run at budget 0 (16 of them), do not run.
     g = family_graph("spider:5,5")
     batches = record_batches(monkeypatch)
     r = throttle(g)
@@ -636,6 +643,57 @@ def test_no_set_below_the_min_degree_floor_forces_on_random_graphs(n, seed, perc
     assert z >= _floor(g)
     r = throttle(g)
     assert (r.th, r.witness, r.z_minus, r.pt_minimum) == (th, witness, z, ptm)
+
+
+def _pt_floor_checks(g):
+    """(sizes where some forcing set meets the floor, sizes whose floor says
+    that none forces) for g, after checking under scalar propagate that no
+    size-k forcing set completes in fewer than _pt_floor(g, k) rounds. A
+    size-k forcing set completes within n - k rounds, so a floor above n - k
+    appears only where no size-k set forces."""
+    met = never = 0
+    for k in range(g.n + 1):
+        floor = throttling._pt_floor(g, k)
+        pts = [pt for s in combinations(range(g.n), k) if (pt := propagate(g, s).pt) is not None]
+        assert all(floor <= pt for pt in pts), (g, k, floor)
+        met += min(pts, default=None) == floor
+        never += floor > g.n - k
+    return met, never
+
+
+def test_pt_floor_is_at_most_every_forcing_time_on_every_class_to_order_6():
+    totals = [0, 0]
+    for n in range(1, 7):
+        for rows, _ in graph_classes(n):
+            g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1])
+            totals = [a + b for a, b in zip(totals, _pt_floor_checks(g))]
+    assert totals == [759, 118]  # of 1375 (class, k) pairs
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+@pytest.mark.parametrize("percent", [25, 50, 75])
+def test_pt_floor_is_at_most_every_forcing_time_on_random_graphs(n, percent):
+    _pt_floor_checks(random_graph(n, n, percent))
+
+
+PT_FLOOR_CUTS = {
+    "cycle:24": (6, 7, ThrottleResult(7, frozenset({0, 1, 10, 11}), 4, 3, {4: 7}, 2, 6)),
+    "gadget_cycle:13,20":
+        (7, 324, ThrottleResult(8, frozenset({2, 3, 5, 7}), 4, 4, {4: 8, 5: 8}, 2, 8)),
+}
+
+
+@pytest.mark.parametrize("spec", PT_FLOOR_CUTS)
+def test_sizes_below_their_pt_floor_run_no_batch(monkeypatch, spec):
+    # th is reached below the last size, whose budget th - k is 1 round but
+    # whose floor is 2. Run anyway, that size would take 11 more batches on
+    # cycle:24 and 1,249 more on gadget_cycle:13,20, none with a hit.
+    size, runs, result = PT_FLOOR_CUTS[spec]
+    g = family_graph(spec)
+    batches = record_batches(monkeypatch)
+    assert throttle(g) == result
+    assert result.th - size == 1 < throttling._pt_floor(g, size)
+    assert len(batches) == runs and max(b.size for b in batches) == size - 1
 
 
 # (n, seed, percent): every member searches some size with more than 4096
