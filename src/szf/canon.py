@@ -18,6 +18,11 @@ nodes of the first child's orbit length.
 
 The classes of order m grow depth first from those of order m - 1 by
 canonical augmentation (McKay, J. Algorithms 26, 1998), each class once.
+A child of the last order whose new vertex alone has the greatest (degree,
+sum of the neighbours' degrees) is not searched: that pair is invariant, so
+every automorphism fixes the new vertex, and those are exactly the parent's
+automorphisms that map its neighbourhood onto itself. So |Aut| of the child
+is |Aut| of the parent over the length of the neighbourhood's orbit.
 
 Graphs are tuples of bit-set adjacency rows: bit u of rows[v] is set iff
 u and v are adjacent.
@@ -123,9 +128,12 @@ def graph_classes(n: int):
     deletion vertex, the first of the canonical order with the greatest
     (degree, sum of the neighbours' degrees), so each class is kept once,
     grown from the class that deleting that vertex leaves. Most other
-    children lack the greatest pair at m - 1 and are never searched.
+    children lack the greatest pair at m - 1 and are never searched. Nor is
+    a child of order n where m - 1 alone has the greatest pair: it is its
+    own deletion vertex, fixed by every automorphism, so the child is kept
+    with aut = |Aut(parent)| / |orbit of its neighbourhood|.
     """
-    def grow(rows, generators):
+    def grow(rows, generators, aut):
         m = len(rows) + 1
         tables = [[0] for _ in generators]
         for table, perm in zip(tables, generators):
@@ -137,7 +145,9 @@ def graph_classes(n: int):
                 continue
             images = [hood]
             for h in images:
-                images += [table[h] for table in tables if table[h] not in images]
+                for table in tables:
+                    if table[h] not in images:
+                        images.append(table[h])
             seen.update(images)
             new = (*(row | (hood >> v & 1) << (m - 1) for v, row in enumerate(rows)), hood)
             degree = [row.bit_count() for row in new]
@@ -147,8 +157,11 @@ def graph_classes(n: int):
                     for d, row in zip(degree, new)]
             if pair[-1] < max(pair):
                 continue
-            _, aut, found, orbit, order = _search(new, m)
+            if m == n and pair.count(pair[-1]) == 1:
+                yield new, aut // len(images)
+                continue
+            _, child_aut, found, orbit, order = _search(new, m)
             if orbit[m - 1] == orbit[next(v for v in order if pair[v] == pair[-1])]:
-                yield from grow(new, found) if m < n else [(new, aut)]
+                yield from grow(new, found, child_aut) if m < n else [(new, child_aut)]
 
-    return grow((), []) if n else iter([((), 1)])
+    return grow((), [], 1) if n else iter([((), 1)])

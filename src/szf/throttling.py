@@ -285,12 +285,13 @@ def _closure(rows, blue):
     return blue
 
 
-def _pruned(rows, chosen):
+def _pruned(rows, chosen, kept=0):
     """The forcing mask `chosen` less each vertex, lowest first, whose removal
-    still leaves a forcing set."""
+    still leaves a forcing set. The vertices of the mask `kept` are known to
+    stay and are not tested."""
     full = (1 << len(rows)) - 1
     for v in range(len(rows)):
-        if chosen >> v & 1 and _closure(rows, chosen ^ 1 << v) == full:
+        if (chosen & ~kept) >> v & 1 and _closure(rows, chosen ^ 1 << v) == full:
             chosen ^= 1 << v
     return chosen
 
@@ -299,17 +300,18 @@ def _greedy(g):
     """A forcing set as a bit mask: add the white vertex with the most white
     neighbours, lowest id on ties, until the closure is full, then prune.
     Growing from the last closure is exact: the final blue set of S + v is
-    that of closure(S) + v."""
+    that of closure(S) + v. The last vertex added is never pruned: the
+    others did not force before it came, and pruning only shrinks them."""
     rows, full = g.bit_adjacency, (1 << g.n) - 1
-    chosen, blue = 0, _closure(rows, 0)
+    chosen, last, blue = 0, 0, _closure(rows, 0)
     while white := full ^ blue:
         most = -1
         for u, row in enumerate(rows):
             if white >> u & 1 and (c := (row & white).bit_count()) > most:
-                most, v = c, u
-        chosen |= 1 << v
-        blue = _closure(rows, blue | 1 << v)
-    return _pruned(rows, chosen)
+                most, last = c, 1 << u
+        chosen |= last
+        blue = _closure(rows, blue | last)
+    return _pruned(rows, chosen, last)
 
 
 def skew_zero_forcing_number(g: Graph) -> int:

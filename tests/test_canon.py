@@ -1,3 +1,4 @@
+import hashlib
 import math
 from functools import lru_cache
 from itertools import permutations
@@ -45,14 +46,36 @@ def test_class_counts_follow_oeis_a000088():
 
 
 def test_classes_stream_depth_first(monkeypatch):
-    # The first order-8 class follows one search per order, and draining
-    # the growth searches as often as growing one order at a time did.
+    # The first order-8 class follows at most one search per order. Draining
+    # the growth searches every kept child below order 8, but of order 8 only
+    # those whose new vertex shares the greatest (degree, neighbour-degree
+    # sum) with another vertex.
     calls = []
     monkeypatch.setattr("szf.canon._search", lambda rows, n: calls.append(n) or _search(rows, n))
     classes = iter(graph_classes(8))
     next(classes)
     assert len(calls) <= 8
-    assert sum(1 for _ in classes) == 12345 and len(calls) == 14655
+    assert sum(1 for _ in classes) == 12345 and len(calls) == 5659
+
+
+# sha256 of repr(list(graph_classes(n))): the stream, rows and aut in
+# order. A faster growth must yield it unchanged.
+STREAM_DIGESTS = [
+    "b94b1cb7d1cbc4e4791574cd93e5514a2b093fe640d2f7d3843a71615941f761",
+    "502b58bc64726f44106e1251db04bf9d010ef7a01a63c0be646b5916cd516c63",
+    "258f317620134ffd44f56c7ac6c2587d9be87132adaa97d988a770cc315f5f53",
+    "f1b312b1825672988c165f11394f1e31f9b883aa92f83ad3630c8b3b4cf4bf23",
+    "56d1a68e8487136cc1e86a108e44a7ca34386d90185ded52146261dfe2aeb567",
+    "cfeb47b04b00b0b67b1c44d121e48e89779a20c308cc2ac55eece6a0874b5c8f",
+    "ec10cea19b79dfcb7fbc2ecdc2d1b5d528667f3393d1d29b98c9b827c5f42cc5",
+    "4c95659f3b25418661586772b6ce31b999f695dd34c84893492cc6317bafd4a4",
+]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_class_stream_is_pinned(n):
+    digest = hashlib.sha256(repr(cached_classes(n)).encode()).hexdigest()
+    assert digest == STREAM_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -65,6 +88,13 @@ def test_aut_is_the_number_of_automorphisms(n):
     for rows, aut in graph_classes(n):
         fixed = sum(relabel(rows, perm) == rows for perm in permutations(range(n)))
         assert aut == fixed, rows
+
+
+@pytest.mark.parametrize("n", range(6, 9))
+def test_aut_matches_the_search_of_each_class(n):
+    # At order n most classes take |Aut| from their parent's group.
+    for rows, aut in cached_classes(n):
+        assert aut == canonical_form(rows, n)[1], rows
 
 
 @pytest.mark.parametrize("n", range(7, 11))

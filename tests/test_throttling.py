@@ -620,6 +620,16 @@ def test_pruned_sets_force_and_are_minimal_to_order_5():
                 assert not any(propagate(g, set(members) - {v}).completed for v in members)
 
 
+def test_greedy_set_is_minimal_to_order_5():
+    # `_greedy` does not test its last vertex for pruning: this checks it too.
+    for n in range(6):
+        for g in all_graphs(n):
+            chosen = throttling._greedy(g)
+            members = {v for v in range(n) if chosen >> v & 1}
+            assert propagate(g, members).completed
+            assert not any(propagate(g, members - {v}).completed for v in members), g
+
+
 def test_no_set_below_the_min_degree_floor_forces_to_order_6():
     # Graphs with δ <= 1 have floor 0, which claims nothing.
     checked = tight = 0
