@@ -95,10 +95,11 @@ class _OverLimit(Exception):
 
 
 def _load_graph(args, limit=math.inf, hint="(set --max-n or SZF_MAX_N)") -> Graph:
-    """The input graph. Every source gives its order before it is decoded, and
-    one above `limit` raises _OverLimit without building the graph."""
+    """The input graph. Every source gives its order before it is decoded (a
+    gadget spec whose base length is above `limit`, that length), and one
+    above `limit` raises _OverLimit without building the graph."""
     if getattr(args, "family", None) is not None:
-        n, build, _ = _family(args.family)
+        n, build, _ = _family(args.family, limit)
     else:
         n, build = (_graph6 if args.format == "graph6" else _edge_list)(_input_text(args))
     if n > limit:

@@ -8,7 +8,7 @@ cases (an exact .5) are precisely where float rounding goes wrong.
 """
 
 from itertools import combinations
-from math import isqrt
+from math import inf, isqrt
 import re
 from typing import NamedTuple
 
@@ -398,15 +398,17 @@ _FAMILIES = {  # name: (arity, order, build, labeling)
 _FAMILIES["h_graph"] = _FAMILIES["h"]
 
 
-def _family(spec: str):
+def _family(spec: str, limit=inf):
     """(order, build, labeling) of a family spec: the order of its graph,
     computed from the parameters without building anything, a function that
     builds the graph, and the text of its vertex labeling. Parameters out of
-    a builder's range raise only from build."""
+    a builder's range raise only from build. A gadget spec's order is drawn
+    with its attachments, in time linear in its base length L; when L is
+    above `limit`, L, the least order it can have, stands in undrawn."""
     text = spec.strip()
     m = _CORONA_RE.match(text)
     if m:
-        order, inner, _ = _family(m.group(2))
+        order, inner, _ = _family(m.group(2), limit)
         wrap, copy = ((corona_k1, "K1 copy at m+i") if m.group(1) == "1"
                       else (corona_k2, "K2 copy at m+2i, m+2i+1"))
         return (order * (1 + int(m.group(1))), lambda: wrap(inner()),
@@ -428,4 +430,5 @@ def _family(spec: str):
     arity, order, build, labeling = _FAMILIES[name]
     if len(args) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(args)}")
-    return order(*args), lambda: build(*args), labeling
+    n = args[0] if name.startswith("gadget_") and args[0] > limit else order(*args)
+    return n, lambda: build(*args), labeling

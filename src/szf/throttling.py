@@ -13,47 +13,43 @@ complete in it, or None when the batch stalls or runs out of its round
 budget first. A vertex of degree 1 or 2 reads "exactly one white neighbour"
 from one word or one XOR; higher degrees use a saturating count.
 
-One generator, `_hits`, walks the batches of one size and yields each set
-that beats every earlier one: each batch after a hit is budgeted to beat
-it, and its hit is its first optimum. It serves both uses: the Z- descent
-reads its first hit, and the reduction `_least` reads its last, the first
-optimum of the size in that order.
-
-`_hits` also reads a floor on the propagation time of size k from the
-degree sequence alone. A vertex that forces in a round forces exactly one
-vertex and has deg - 1 blue neighbours, so the round's forcers, one per
+One generator, `_hits`, walks the batches of one size within a round
+limit and yields each set that beats every earlier one: each batch after a
+hit is budgeted to beat it, and its hit is its first optimum. The Z-
+descent reads its first hit, and the reduction `_least` its last, the
+first optimum of the size in that order. A limit of n - k cuts nothing at
+size k: a lane still forcing at round r has k + r blue vertices or more,
+so by round n - k every lane has completed or stalled. Before its first
+batch, `_hits` reads one floor on the propagation time of size k, and packs
+no batch once its limit is below it. A vertex that forces in a round
+forces one vertex and has deg - 1 distinct blue neighbours, so its deg - 1
+is at most the number of blue vertices, and the round's forcers, one per
 forced vertex, have a total deg - 1 of at most the degree sum of the blue
 vertices. With s_0 = k, at most s_{r+1} = s_r + m(s_r) vertices are blue
-after round r + 1, where m(s) is the most vertices, least deg - 1 first,
-whose deg - 1 sum to at most the sum of the s largest degrees; s + m(s)
-does not fall as s grows, so the bound carries from round to round. The
-least t with s_t >= n is the floor. When s stops below n no size-k set
-forces, and the floor is n - k + 1, one round more than any size-k forcing
-set takes, as each of its rounds blues a vertex. So no batch runs under a
-round budget below the floor, and a hit at the floor ends the scan, as no
-later set can beat it. For k < n the floor is at least 1: the old stop
-after a hit in one round is this rule's k < n case, and size n is one
-batch of one lane.
+after round r + 1, where m(s) is the most vertices, least deg - 1 first and
+each of deg - 1 <= s, whose deg - 1 sum to at most the sum of the s
+largest degrees; s + m(s) does not fall as s grows, so the bound carries
+from round to round. The least t with s_t >= n is the floor. When s stops
+below n no size-k set forces, and the floor is n - k + 1, one round more
+than any size-k forcing set takes. So it is for every k < δ(G) - 1, as no
+vertex then forces in round 1. A hit at the floor ends the scan, as no
+later set can beat it; for k < n the floor is at least 1, and size n is
+one batch of one lane.
 
 Z-(G) is found by descent, not by an ascending scan. Skew forcing is
 monotone: if S is a subset of T, every vertex blue after round r from S is
 blue after round r from T, so every superset of a forcing set forces, and a
 size with no forcing set has none below it either. A greedy on bit masks
 gives a forcing set, pruned to a minimal one; its size is the first bound k.
-While k is above the floor max(δ(G) - 1, 0) and some set of size k - 1
-forces (the first hit of `_hits`, read without a round budget), that set is
-pruned in turn and k falls to its size. The floor holds because if S != V
-forces, some vertex u has exactly one white neighbour in round 1, so
-|S| >= deg(u) - 1 >= δ(G) - 1. So only size Z- - 1 is scanned in full and
-found empty, and no size is when Z- is the floor. skew_zero_forcing_number
-stops there, and min_propagation_time after `_least` at Z-(G). throttle
-is one loop over sizes k from Z-(G) while k is below the best value,
-budgeting size k to best - k rounds. Size Z- is the loop's first size, at
-best = n + 1 (V forces in 0 rounds, so th <= n); that budget cuts nothing,
-as a lane still forcing at round r has at least k + r blue vertices, so by
-round n - k every lane has completed or stalled. The least time at Z- is
-pt_minimum. Sizes that tie the best still count in per_k, while only a
-smaller value replaces the witness.
+While k > 0 and some set of size k - 1 forces (the first hit of `_hits`
+within n - k + 1 rounds), that set is pruned in turn and k falls to its
+size. So only size Z- - 1 is found empty, with no batch where its floor
+proves it. skew_zero_forcing_number stops there, and min_propagation_time
+after `_least` at Z-(G) within n - Z- rounds. throttle is one loop over
+sizes k from Z-(G) while k is below the best value, budgeting size k to
+best - k rounds; the first best is n + 1 (V forces in 0 rounds, so
+th <= n). The least time at Z- is pt_minimum. Sizes that tie the best
+still count in per_k, while only a smaller value replaces the witness.
 """
 
 from math import comb
@@ -102,7 +98,7 @@ class ThrottleResult(NamedTuple):
         }
 
 
-def _first_completion(adj, blue, full, budget=None):
+def _first_completion(adj, blue, full, budget):
     """Propagate every lane of a batch at once, up to its first completion.
 
     adj[v] iterates the neighbours of v; blue[v] has lane i set when v is
@@ -122,7 +118,7 @@ def _first_completion(adj, blue, full, budget=None):
         done &= b
     rounds = 0
     while not done:
-        if budget is not None and rounds >= budget:
+        if rounds >= budget:
             return None
         white = [full ^ b for b in blue]
         exactly_one = []
@@ -213,16 +209,16 @@ def _batches(n, k):
 def _pt_floor(g, k):
     """A lower bound on the propagation time of every size-k forcing set:
     the least t with s_t >= n, where s_0 = k and s_{r+1} is s_r plus the
-    most vertices, least deg - 1 first, whose deg - 1 sum to at most the
-    sum of the s_r largest degrees. When s stops below n, no size-k set
-    forces, and the bound is n - k + 1, one round more than any size-k
-    forcing set could take."""
+    most vertices, least deg - 1 first and each of deg - 1 <= s_r, whose
+    deg - 1 sum to at most the sum of the s_r largest degrees. When s stops
+    below n, no size-k set forces, and the bound is n - k + 1, one round
+    more than any size-k forcing set could take."""
     degrees = sorted(map(len, g.adj), reverse=True)
     costs = [d - 1 for d in reversed(degrees) if d]  # an isolated vertex never forces
     s, t, reach, spent, m = k, 0, sum(degrees[:k]), 0, 0
     while s < g.n:
-        # reach only grows, so the count m of the least costs that fit does too.
-        while m < len(costs) and spent + costs[m] <= reach:
+        # s and reach only grow, so the count m of the least costs that fit does too.
+        while m < len(costs) and costs[m] <= s and spent + costs[m] <= reach:
             spent += costs[m]
             m += 1
         if not m:
@@ -232,28 +228,18 @@ def _pt_floor(g, k):
     return t
 
 
-def _hits(g, k, limit=None):
+def _hits(g, k, limit):
     """(pt, subset) for each size-k set, in lexicographic order, that takes
     fewer rounds than every earlier one and at most `limit` rounds.
 
     A batch's first such set is its lowest lane completing in its first
     completing round; each batch after a hit is budgeted to beat it. No
     size-k set completes in fewer than `_pt_floor(g, k)` rounds, so no batch
-    runs under a limit below the floor: not the first, and not the one after
-    a hit at the floor. For k < n the floor is at least 1, so a hit in one
-    round always ends the scan. The floor is read at the first batch whose
-    limit is at most n - k, as a larger one is above every floor: the
-    descent's unbudgeted tests and throttle's first size never compute it,
-    nor does a size of one batch after its hit. The price is one batch
-    packed and not run where the floor cuts a size or ends its scan.
-    """
-    floor = None
-    for blue, width in _batches(g.n, k):
-        if limit is not None and limit <= g.n - k:
-            if floor is None:
-                floor = _pt_floor(g, k)
-            if limit < floor:
-                return
+    is packed once the limit is below the floor."""
+    floor = _pt_floor(g, k)
+    batches = _batches(g.n, k)
+    while limit >= floor and (batch := next(batches, None)):
+        blue, width = batch
         if hit := _first_completion(g.adj, blue, (1 << width) - 1, limit):
             pt, lanes = hit
             lane = (lanes & -lanes).bit_length() - 1
@@ -261,7 +247,7 @@ def _hits(g, k, limit=None):
             limit = pt - 1
 
 
-def _least(g, k, limit=None):
+def _least(g, k, limit):
     """(pt, subset) for the first size-k set in lexicographic order with the
     least propagation time within `limit` rounds, or None: the last hit."""
     least = None
@@ -318,18 +304,19 @@ def skew_zero_forcing_number(g: Graph) -> int:
     """Least k such that some size-k set forces the whole graph; may be 0.
 
     Found by descent from the greedy bound: while some set one smaller
-    forces, prune it to the new bound. Only the last test, at Z- - 1, scans
-    a size in full, and none does when Z- is the floor max(δ(G) - 1, 0)."""
-    floor = max(min(map(len, g.adj), default=0) - 1, 0)
+    forces, prune it to the new bound. Only the last test, at Z- - 1, can
+    scan a size in full, and none does where the floor of `_hits` proves
+    that size empty."""
     k = _greedy(g).bit_count()
-    while k > floor and (hit := next(_hits(g, k - 1), None)):
+    while k and (hit := next(_hits(g, k - 1, g.n - k + 1), None)):
         k = _pruned(g.bit_adjacency, sum(1 << v for v in hit[1])).bit_count()
     return k
 
 
 def min_propagation_time(g: Graph) -> int:
     """Minimum propagation time over minimum skew forcing sets."""
-    return _least(g, skew_zero_forcing_number(g))[0]
+    z = skew_zero_forcing_number(g)
+    return _least(g, z, g.n - z)[0]
 
 
 def throttling_at_k(g: Graph, k: int) -> int | None:
@@ -339,7 +326,7 @@ def throttling_at_k(g: Graph, k: int) -> int | None:
     """
     if not 0 <= k <= g.n:
         raise ValueError(f"k={k} out of range for n={g.n}")
-    hit = _least(g, k)
+    hit = _least(g, k, g.n - k)
     return None if hit is None else k + hit[0]
 
 

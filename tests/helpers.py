@@ -73,11 +73,11 @@ def brute_force_table(g: Graph):
 
 class Batch(NamedTuple):
     """One `_first_completion` call: the size of every lane's set, the number
-    of lanes, the round budget (None for none), the result, and the words."""
+    of lanes, the round budget, the result, and the words."""
 
     size: int
     width: int
-    budget: int | None
+    budget: int
     hit: tuple[int, int] | None
     blue: list[int]
 
@@ -88,7 +88,7 @@ def record_batches(monkeypatch):
     batches = []
     kernel = throttling._first_completion
 
-    def recording(adj, blue, full, budget=None):
+    def recording(adj, blue, full, budget):
         hit = kernel(adj, blue, full, budget)
         batches.append(Batch(sum(b & 1 for b in blue), full.bit_length(), budget, hit, blue))
         return hit

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -200,6 +201,28 @@ def test_family_order_is_guarded_before_the_graph_is_built(capsys, monkeypatch, 
     monkeypatch.setattr("szf.families.from_edge_list", spy)
     code, out, err = run_cli(capsys, *argv, "--family", spec)
     assert (code, out, err.strip()) == (3, "", f"graph order {n} {message}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("compute", "--family"), "exceeds the limit 26 (set --max-n or SZF_MAX_N)"),
+    (("family",), "exceeds the limit 258047 (the most vertices graph6 can encode)"),
+], ids=["compute", "family"])
+@pytest.mark.parametrize("spec, n", [
+    ("gadget_cycle:1000000000,1", 10 ** 9), ("corona_k2(gadget_path:1000000000,3)", 3 * 10 ** 9),
+])
+def test_gadget_spec_is_refused_on_its_base_length_before_the_draw(capsys, monkeypatch, argv,
+                                                                   message, spec, n):
+    # A gadget spec's order is known only once its L attachments are drawn.
+    # L is the least order it can have, so a base length above the limit is
+    # refused without a draw, and the message names that least order.
+    def spy(*spec_args):
+        raise AssertionError(f"a gadget spec {spec_args} was drawn")
+
+    monkeypatch.setattr("szf.families.random_gadget_spec", spy)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, spec)
+    assert (code, out, err.strip()) == (3, "", f"graph order {n} {message}")
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("argv", [("compute",), ("classify", "--check")],

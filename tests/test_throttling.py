@@ -1,4 +1,5 @@
 import ast
+import inspect
 import sys
 import threading
 from itertools import combinations
@@ -236,8 +237,7 @@ def _assert_kernel_lanes_match_propagate(g, j, budget):
     # (pt None) never completes, and a budget hides later completions.
     subsets = list(combinations(range(g.n), j))
     pts = [propagate(g, s).pt for s in subsets]
-    expected = [pt if pt is not None and (budget is None or pt <= budget) else None
-                for pt in pts]
+    expected = [pt if pt is not None and pt <= budget else None for pt in pts]
     words = _lane_words(g.n, j)
     for i, pt in enumerate(expected):
         alone = _first_completion(g.adj, [w >> i & 1 for w in words], 1, budget)
@@ -256,7 +256,7 @@ def _assert_kernel_lanes_match_propagate(g, j, budget):
 def test_kernel_lanes_match_scalar_propagate(n, seed, percent, data):
     g = random_graph(n, seed, percent)
     j = data.draw(st.integers(0, n))
-    budget = data.draw(st.none() | st.integers(0, n))
+    budget = data.draw(st.integers(0, n))  # n cuts nothing
     _assert_kernel_lanes_match_propagate(g, j, budget)
 
 
@@ -278,7 +278,7 @@ def test_kernel_lanes_match_scalar_propagate_at_low_degree(name):
     g = LOW_DEGREE_GRAPHS[name]
     assert 1 <= g.n <= 9 and min(map(len, g.adj)) <= 2
     for j in range(g.n + 1):
-        for budget in (None, 0, 1, 2):
+        for budget in (g.n, 0, 1, 2):
             _assert_kernel_lanes_match_propagate(g, j, budget)
 
 
@@ -296,7 +296,6 @@ def test_kernel_returns_none_when_every_lane_stalls():
     g = cycle(4)
     # Lanes {0, 2} and {1, 3}: each opposite pair of C4 forces nothing.
     assert propagate(g, [0, 2]).pt is None and propagate(g, [1, 3]).pt is None
-    assert _first_completion(g.adj, [1, 2, 1, 2], 0b11) is None
     assert _first_completion(g.adj, [1, 2, 1, 2], 0b11, 4) is None
 
 
@@ -304,7 +303,7 @@ def test_kernel_returns_none_when_the_budget_cuts_before_a_completion():
     g = path(6)
     assert propagate(g, [0]).pt == 3
     words = [1, 0, 0, 0, 0, 0]
-    assert _first_completion(g.adj, words, 1) == (3, 1)
+    assert _first_completion(g.adj, words, 1, 6) == (3, 1)
     assert _first_completion(g.adj, words, 1, 3) == (3, 1)
     assert _first_completion(g.adj, words, 1, 2) is None
 
@@ -316,7 +315,7 @@ def test_lowest_lane_of_the_first_completing_round_wins():
     best = min(pt for pt in pts if pt is not None)
     assert pts.count(best) > 1
     first = subsets[pts.index(best)]
-    assert _least(g, 2) == (best, frozenset(first))
+    assert _least(g, 2, 4) == (best, frozenset(first))
 
 
 def combination_words(m, t):
@@ -443,7 +442,7 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
         for k in range(n + 1):
             every = list(combinations(range(n), k))
             scalar = {s: propagate(g, s).pt for s in every}
-            for limit in (None, rng.below(n + 1)):
+            for limit in (n - k, rng.below(n + 1)):
                 recorded.clear()
                 hits = list(_hits(g, k, limit))
                 runs = [[tuple(v for v, b in enumerate(batch.blue) if b >> i & 1)
@@ -453,7 +452,7 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
                 floor = throttling._pt_floor(g, k)
                 low = [i for i, batch in enumerate(recorded) if batch.hit and batch.hit[0] <= floor]
                 assert low in ([], [len(recorded) - 1])
-                if limit is not None and limit < floor:
+                if limit < floor:
                     assert recorded == []
                 else:
                     assert subsets == (every[:len(subsets)] if low else every)
@@ -461,7 +460,7 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
                 assert all(len(lanes) <= cap for lanes in runs)
                 assert all(len(a) + len(b) > cap for a, b in zip(runs, runs[1:]))
                 fits = {s: pt for s, pt in scalar.items()
-                        if pt is not None and (limit is None or pt <= limit)}
+                        if pt is not None and pt <= limit}
                 # (pt, subset) tuples order as (pt, lane): lanes are lexicographic.
                 firsts = [min(done) for lanes in runs
                           if (done := [(fits[s], s) for s in lanes if s in fits])]
@@ -479,12 +478,16 @@ def test_each_prefix_batch_reports_its_own_first_optimum(monkeypatch, seed):
 def test_only_hits_walks_the_kernel_batches():
     # One loop runs the kernel over the batches of a size, and one loop in
     # throttle runs the sizes, so budgets, counters and filters on each loop
-    # have one place to go.
+    # have one place to go. The one floor is read there too, and every scan
+    # names its round limit: none of the three has an unlimited default.
     tree = ast.parse(open(throttling.__file__, encoding="utf-8").read())
     users = {name: [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                     and any(isinstance(x, ast.Name) and x.id == name for x in ast.walk(node))]
-             for name in ("_batches", "_first_completion")}
-    assert users == {"_batches": ["_hits"], "_first_completion": ["_hits"]}
+             for name in ("_batches", "_first_completion", "_pt_floor")}
+    assert users == {"_batches": ["_hits"], "_first_completion": ["_hits"], "_pt_floor": ["_hits"]}
+    for fn in (_first_completion, _hits, _least):
+        limit = list(inspect.signature(fn).parameters.values())[-1]
+        assert limit.name in ("budget", "limit") and limit.default is inspect.Parameter.empty
     # throttle runs every size, Z- included, through one call of _least.
     throttle_def = next(node for node in tree.body
                         if isinstance(node, ast.FunctionDef) and node.name == "throttle")
@@ -524,11 +527,15 @@ def _floor(g):
 
 @pytest.mark.parametrize("spec", ["star:20"])
 def test_high_z_graphs_run_many_full_batches_at_the_real_cap(monkeypatch, spec):
-    # Z- = n - 2 and δ = 1. The greedy bound is Z- itself, so throttle scans
-    # size n - 3 once, without a hit, then size n - 2: a few batches. A
-    # middle size still takes many full batches: C(21, 10) = 352,716 lanes.
+    # Z- = n - 2 and δ = 1. The greedy bound is Z- itself, so the descent
+    # scans size n - 3 once, in one batch without a hit, and throttle adds
+    # size n - 2: a few batches. A middle size still takes many full batches
+    # at its limit n - k: C(21, 10) = 352,716 lanes.
     g = family_graph(spec)
     batches = record_batches(monkeypatch)
+    assert skew_zero_forcing_number(g) == g.n - 2
+    assert [(b.size, b.hit) for b in batches] == [(g.n - 3, None)]
+    batches.clear()
     r = throttle(g)
     assert r.th == g.n - 1  # the value n - 1 of the paper's characterization
     assert (r.z_minus, r.pt_minimum) == (g.n - 2, 1)
@@ -541,7 +548,7 @@ def test_high_z_graphs_run_many_full_batches_at_the_real_cap(monkeypatch, spec):
     widths = [b.width for b in batches]
     assert sum(widths) == comb(g.n, k) and len(widths) > comb(g.n, k) // LANE_CAP
     assert max(widths) > LANE_CAP // 2
-    assert all(b.size == k and b.budget is None and b.hit is None for b in batches)
+    assert all(b.size == k and b.budget == g.n - k and b.hit is None for b in batches)
 
 
 FLOORED_RESULTS = {
@@ -579,16 +586,18 @@ def test_forcing_number_runs_no_batch_at_z_minus(monkeypatch):
 
 def _assert_one_empty_scan(g, batches):
     """floor <= Z- <= U for the greedy bound U, whose set forces under scalar
-    propagate, and at most one size scanned without a budget ends without a
-    hit: Z- - 1, or none when Z- is the floor."""
+    propagate, and the descent scans at most one size that ends without a
+    hit: Z- - 1, or none where `_pt_floor` proves that size empty, as it
+    does below the min-degree floor."""
     batches.clear()
-    r = throttle(g)
+    z = skew_zero_forcing_number(g)
     floor, greedy = _floor(g), throttling._greedy(g)
-    assert floor <= r.z_minus <= greedy.bit_count()
+    assert floor <= z <= greedy.bit_count()
     assert propagate(g, [v for v in range(g.n) if greedy >> v & 1]).completed
-    unbudgeted = [b for b in batches if b.budget is None]
-    empty = {b.size for b in unbudgeted} - {b.size for b in unbudgeted if b.hit}
-    assert empty == ({r.z_minus - 1} if r.z_minus > floor else set()), g
+    empty = {b.size for b in batches} - {b.size for b in batches if b.hit}
+    proven = z == 0 or throttling._pt_floor(g, z - 1) > g.n - z + 1
+    assert proven or z > floor, g
+    assert empty == (set() if proven else {z - 1}), g
 
 
 def test_descent_scans_one_empty_size_to_order_5(monkeypatch):
@@ -677,7 +686,27 @@ def test_pt_floor_is_at_most_every_forcing_time_on_every_class_to_order_6():
         for rows, _ in graph_classes(n):
             g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1])
             totals = [a + b for a, b in zip(totals, _pt_floor_checks(g))]
-    assert totals == [759, 118]  # of 1375 (class, k) pairs
+    assert totals == [770, 153]  # of 1375 (class, k) pairs
+
+
+def test_pt_floor_holds_the_min_degree_floor_to_order_6():
+    # Below δ - 1 blue vertices no vertex has deg - 1 blue neighbours, so
+    # round 1 forces nothing and the floor says no size-k set forces.
+    for n in range(1, 7):
+        for rows, _ in graph_classes(n):
+            g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1])
+            for k in range(_floor(g)):
+                assert throttling._pt_floor(g, k) == n - k + 1, (g, k)
+
+
+@pytest.mark.parametrize("spec, k, floor", [
+    ("complete:6", 3, 4), ("complete_multipartite:4,4,4,4", 10, 7), ("hypercube:4", 2, 15),
+])
+def test_pt_floor_proves_sizes_below_the_min_degree_floor_empty(spec, k, floor):
+    # The degree sum alone allows a round 1 here; each forcer's deg - 1
+    # distinct blue neighbours do not.
+    g = family_graph(spec)
+    assert k < _floor(g) and throttling._pt_floor(g, k) == floor == g.n - k + 1
 
 
 @pytest.mark.parametrize("n", range(7, 11))
