@@ -18,15 +18,24 @@ nodes of the first child's orbit length.
 
 The classes of order m grow depth first from those of order m - 1 by
 canonical augmentation (McKay, J. Algorithms 26, 1998), each class once.
-A child of the last order whose new vertex alone has the greatest (degree,
-sum of the neighbours' degrees) is not searched: that pair is invariant, so
-every automorphism fixes the new vertex, and those are exactly the parent's
-automorphisms that map its neighbourhood onto itself. So |Aut| of the child
-is |Aut| of the parent over the length of the neighbourhood's orbit.
+A child is grown only where its new vertex has the greatest (degree, sum of
+the neighbours' degrees) pair, an invariant.
+
+A count over the labeled graphs of the last order n needs no search. Let
+C(G) be the vertices of G with the greatest pair. For an invariant f,
+sum_G f(G) = sum_G sum_{v in C(G)} f(G)/|C(G)| = n sum_H f(H)/|C(H)| over
+the labeled H with n - 1 in C(H), by relabeling v as n - 1. Such an H is a
+labeled parent with a neighbourhood for n - 1. The (n - 1)!/|Aut P| labeled
+copies of the parent class P, each with the |O| neighbourhoods of the
+grown one's orbit O under Aut P, give isomorphic H. So the grown child
+stands for n! |O| / (|Aut P| |C|) labeled graphs, and the children of one
+class add up to its n!/|Aut G|.
 
 Graphs are tuples of bit-set adjacency rows: bit u of rows[v] is set iff
 u and v are adjacent.
 """
+
+import math
 
 
 def _refine(rows, cells, splitters):
@@ -119,19 +128,27 @@ def canonical_form(rows, n: int):
     return _search(rows, n)[:2]
 
 
-def graph_classes(n: int):
-    """Yield one (rows, aut) per isomorphism class of graphs of order n.
+def _kept(rows, pair):
+    """(aut, generators) of a grown child if its new vertex is in the orbit
+    of its deletion vertex, the first of the canonical order with the
+    greatest pair, else None: each class is kept once, grown from the class
+    that deleting that vertex leaves."""
+    m = len(rows)
+    _, aut, found, orbit, order = _search(rows, m)
+    if orbit[m - 1] == orbit[next(v for v in order if pair[v] == pair[-1])]:
+        return aut, found
+    return None
 
-    A kept child of order m < n is grown at once, one of order n yielded.
+
+def _grown(n: int):
+    """Yield (rows, pair, aut, length) for each child of order n whose new
+    vertex has the greatest pair: pair lists each vertex's (degree, sum of
+    the neighbours' degrees), aut is |Aut| of the parent class, and length
+    is that of the new vertex's neighbourhood's orbit under Aut(parent);
+    none for n = 0.
+
     Vertex m - 1 gets the least neighbourhood in each orbit of the parent's
-    automorphisms. The child is kept iff m - 1 is in the orbit of its
-    deletion vertex, the first of the canonical order with the greatest
-    (degree, sum of the neighbours' degrees), so each class is kept once,
-    grown from the class that deleting that vertex leaves. Most other
-    children lack the greatest pair at m - 1 and are never searched. Nor is
-    a child of order n where m - 1 alone has the greatest pair: it is its
-    own deletion vertex, fixed by every automorphism, so the child is kept
-    with aut = |Aut(parent)| / |orbit of its neighbourhood|.
+    automorphisms; a child of order m < n is grown at once if it is kept.
     """
     def grow(rows, generators, aut):
         m = len(rows) + 1
@@ -157,11 +174,40 @@ def graph_classes(n: int):
                     for d, row in zip(degree, new)]
             if pair[-1] < max(pair):
                 continue
-            if m == n and pair.count(pair[-1]) == 1:
-                yield new, aut // len(images)
-                continue
-            _, child_aut, found, orbit, order = _search(new, m)
-            if orbit[m - 1] == orbit[next(v for v in order if pair[v] == pair[-1])]:
-                yield from grow(new, found, child_aut) if m < n else [(new, child_aut)]
+            if m == n:
+                yield new, pair, aut, len(images)
+            elif kept := _kept(new, pair):
+                yield from grow(new, kept[1], kept[0])
 
-    return grow((), [], 1) if n else iter([((), 1)])
+    return grow((), [], 1) if n else iter(())
+
+
+def graph_classes(n: int):
+    """Yield one (rows, aut) per isomorphism class of graphs of order n: the
+    kept children of `_grown(n)`, in the order they are grown.
+
+    A child where n - 1 alone has the greatest pair is not searched: it is
+    its own deletion vertex, fixed by every automorphism, so it is kept with
+    aut = |Aut(parent)| / |orbit of its neighbourhood|.
+    """
+    if not n:
+        yield (), 1
+    for rows, pair, aut, length in _grown(n):
+        if pair.count(pair[-1]) == 1:
+            yield rows, aut // length
+        elif kept := _kept(rows, pair):
+            yield rows, kept[0]
+
+
+def labeled_classes(n: int):
+    """Yield (rows, weight) for each child of `_grown(n)`, unsearched.
+
+    A child's weight is lcm(1..n) times the n! |O| / (|Aut P| |C|) labeled
+    graphs it stands for, an integer; the weights of a class add up to
+    lcm(1..n) n!/|Aut|.
+    """
+    scale = math.factorial(n) * math.lcm(*range(1, n + 1))
+    if not n:
+        yield (), scale
+    for rows, pair, aut, length in _grown(n):
+        yield rows, scale // aut * length // pair.count(pair[-1])

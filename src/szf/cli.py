@@ -12,9 +12,11 @@ Each verify campaign is one entry of CAMPAIGNS: a function from the parsed
 arguments to instance keys, and a function from a key to one CSV row. An
 empty --n or --seeds range, --n-max below 1, --jobs below 1, or a
 --timeout-s that is not a positive number is a parse failure. The extremes
-campaign checks one graph per isomorphism class of each order and weights
-it by its n!/|Aut| labeled copies, so its counts are over every labeled
-graph.
+campaign checks the graphs that `canon.labeled_classes` grows, about one
+per isomorphism class of each order, each weighted by the labeled copies it
+stands for, so its counts are over every labeled graph. Every row that
+reads only th takes it from the solver's size loop without the sizes that
+tie the best (`throttling._optimum` with slack 0).
 """
 
 import argparse
@@ -28,7 +30,7 @@ import time
 from contextlib import nullcontext
 from typing import NamedTuple
 
-from .canon import graph_classes
+from .canon import labeled_classes
 from .families import (
     SplitMix64, _family, cycle, gadget_family, hypercube,
     paired_blue_witness, path, random_gadget_spec, spider,
@@ -39,7 +41,7 @@ from .forcing import _ball_cover_bound, propagate
 from .formats import _MAX_G6_ORDER, _edge_list, _graph6, format_edge_list, to_graph6
 from .graph import Graph, components, diameter, from_edge_list, leaves, min_degree
 from .structure import classify_extremes
-from .throttling import throttle, throttle_with_bound
+from .throttling import _optimum, throttle, throttle_with_bound
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -94,24 +96,28 @@ class _OverLimit(Exception):
     """An input's order is above the guard; `main` prints it and exits 3."""
 
 
-def _load_graph(args, limit=math.inf, hint="(set --max-n or SZF_MAX_N)") -> Graph:
-    """The input graph. Every source gives its order before it is decoded (a
-    gadget spec whose base length is above `limit`, that length), and one
-    above `limit` raises _OverLimit without building the graph."""
+def _load_graph(args, limit=math.inf,
+                hint="(set --max-n or SZF_MAX_N)") -> tuple[Graph, str | None]:
+    """(graph, labeling) of the input: the family spec's vertex labeling
+    text, or None for a file or stdin. Every source gives its order before
+    it is decoded (a gadget spec whose base length is above `limit`, that
+    length), and one above `limit` raises _OverLimit without building the
+    graph."""
+    labeling = None
     if getattr(args, "family", None) is not None:
-        n, build, _ = _family(args.family, limit)
+        n, build, labeling = _family(args.family, limit)
     else:
         n, build = (_graph6 if args.format == "graph6" else _edge_list)(_input_text(args))
     if n > limit:
         raise _OverLimit(f"graph order {n} exceeds the limit {limit} {hint}")
-    return build()
+    return build(), labeling
 
 
 # ---------------------------------------------------------------------------
 # compute / classify / family
 
 def cmd_compute(args) -> int:
-    g = _load_graph(args, _max_n(args))
+    g, _ = _load_graph(args, _max_n(args))
     result = throttle(g) if args.bound is None else throttle_with_bound(g, args.bound)
     payload = {"n": g.n, **result.to_json_dict()}
     if args.trace:
@@ -129,11 +135,11 @@ def _agrees(c, th: int, n: int) -> bool:
 
 
 def cmd_classify(args) -> int:
-    g = _load_graph(args, _max_n(args) if args.check else math.inf, "for --check")
+    g, _ = _load_graph(args, _max_n(args) if args.check else math.inf, "for --check")
     c = classify_extremes(g)
     payload = {"n": g.n, "label": c.label, "value": c.value, "evidence": c.evidence}
     if args.check:
-        th = throttle(g).th
+        th = _optimum(g, 0)[0]
         payload["solver_th"] = th
         payload["agrees"] = _agrees(c, th, g.n)
     print(json.dumps(payload, sort_keys=True))
@@ -141,8 +147,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_family(args) -> int:
-    g = _load_graph(args, _MAX_G6_ORDER, "(the most vertices graph6 can encode)")
-    print(f"# family={args.family} n={g.n} labeling: {_family(args.family)[2]}")
+    g, labeling = _load_graph(args, _MAX_G6_ORDER, "(the most vertices graph6 can encode)")
+    print(f"# family={args.family} n={g.n} labeling: {labeling}")
     sys.stdout.write(to_graph6(g) + "\n" if args.emit == "graph6" else format_edge_list(g))
     return EXIT_OK
 
@@ -168,27 +174,28 @@ def _all_graphs_stats(n: int):
     """Classifier vs solver disagreement count over all labeled graphs of
     order n.
 
-    The classifier's label and th are isomorphism invariants, so each class
-    from `canon.graph_classes` is checked once, on its representative, and
-    counts for its n!/|Aut| labeled graphs. Those counts must add up to
-    2^C(n,2); a RuntimeError says they do not.
+    The classifier's label and th are isomorphism invariants, so each graph
+    from `canon.labeled_classes` is checked once and counts for the labeled
+    graphs it stands for, in units of 1/lcm(1..n). Those counts must add up
+    to 2^C(n,2); a RuntimeError says they do not.
     """
+    unit = math.lcm(*range(1, n + 1))
     mismatches = labeled = 0
-    for rows, aut in graph_classes(n):
-        copies = math.factorial(n) // aut
-        labeled += copies
+    for rows, weight in labeled_classes(n):
+        labeled += weight
         g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1])
-        if not _agrees(classify_extremes(g), throttle(g).th, n):
-            mismatches += copies
-    if labeled != 1 << math.comb(n, 2):
-        raise RuntimeError(f"the classes of order {n} count {labeled} labeled graphs, "
+        if not _agrees(classify_extremes(g), _optimum(g, 0)[0], n):
+            mismatches += weight
+    if labeled != unit << math.comb(n, 2):
+        raise RuntimeError(f"the classes of order {n} count {labeled}/{unit} labeled graphs, "
                            f"not 2^{math.comb(n, 2)}")
-    return mismatches
+    assert mismatches % unit == 0, "a class's weights add up to whole labeled graphs"
+    return mismatches // unit
 
 
 def _formula_row(spec: str, g: Graph, predicted: int, holds=operator.eq):
     """Exact th against a closed form, or against an upper bound if holds=operator.le."""
-    computed = throttle(g).th
+    computed = _optimum(g, 0)[0]
     return spec, g.n, computed, predicted, holds(computed, predicted)
 
 
@@ -231,12 +238,12 @@ def _gadget_family_row(seed: int):
 
 def _diameter_bound_row(seed: int):
     """A seeded gadget cycle against the diameter lower bound, valued by the
-    exact th of `throttle` up to order 41 and by the ball-cover lower bound on
-    th above it."""
+    exact th up to order 41 and by the ball-cover lower bound on th above
+    it."""
     name, _, _, g = _gadget_cycle(seed)
     d = diameter(g)
     assert min_degree(g) >= 2 and d >= 4
-    computed = throttle(g).th if g.n <= 41 else _ball_cover_bound(g)
+    computed = _optimum(g, 0)[0] if g.n <= 41 else _ball_cover_bound(g)
     return (name, g.n, computed, str(diameter_lower_bound(d)),
             diameter_bound_holds(computed, d))
 

@@ -370,14 +370,9 @@ def family_graph(spec: str) -> Graph:
     return _family(spec)[1]()
 
 
-def _gadget(base: str):
-    """The (arity, order, build) fields of the seeded gadget family on `base`;
-    its `_FAMILIES` row appends the labeling."""
-    return (2, lambda length, seed: random_gadget_spec(base, length, seed).order,
-            lambda length, seed: gadget_family(random_gadget_spec(base, length, seed)))
-
-
-_FAMILIES = {  # name: (arity, order, build, labeling)
+# name: (arity, order, build, labeling). The gadget rows' order and build
+# read the spec that `_family` draws once from their (L, seed).
+_FAMILIES = {
     "path": (1, lambda n: n, path, "vertices 0..n-1 in path order"),
     "cycle": (1, lambda n: n, cycle,
               "vertices 0..n-1 in ring order, edge (n-1,0) closes the cycle"),
@@ -392,8 +387,10 @@ _FAMILIES = {  # name: (arity, order, build, labeling)
                "center 0, leg j occupies 1+j*leg..(j+1)*leg outward"),
     "h": (3, lambda s, t, r: 1 + 2 * (s + t + r), h_graph,
           "hub 0, then pendant pairs, triangle pairs, extra edge pairs"),
-    "gadget_cycle": (*_gadget("cycle"), "base vertices 0..L-1 first, gadget pairs appended"),
-    "gadget_path": (*_gadget("path"), "base vertices 0..L-1 first, gadget pairs appended"),
+    "gadget_cycle": (2, lambda spec: spec.order, gadget_family,
+                     "base vertices 0..L-1 first, gadget pairs appended"),
+    "gadget_path": (2, lambda spec: spec.order, gadget_family,
+                    "base vertices 0..L-1 first, gadget pairs appended"),
 }
 _FAMILIES["h_graph"] = _FAMILIES["h"]
 
@@ -402,9 +399,10 @@ def _family(spec: str, limit=inf):
     """(order, build, labeling) of a family spec: the order of its graph,
     computed from the parameters without building anything, a function that
     builds the graph, and the text of its vertex labeling. Parameters out of
-    a builder's range raise only from build. A gadget spec's order is drawn
-    with its attachments, in time linear in its base length L; when L is
-    above `limit`, L, the least order it can have, stands in undrawn."""
+    a builder's range raise only from build. A gadget spec's attachments are
+    drawn once, in time linear in its base length L, and give both its order
+    and its build; when L is above `limit`, L, the least order it can have,
+    stands in undrawn."""
     text = spec.strip()
     m = _CORONA_RE.match(text)
     if m:
@@ -430,5 +428,8 @@ def _family(spec: str, limit=inf):
     arity, order, build, labeling = _FAMILIES[name]
     if len(args) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(args)}")
-    n = args[0] if name.startswith("gadget_") and args[0] > limit else order(*args)
-    return n, lambda: build(*args), labeling
+    if name.startswith("gadget_"):
+        if args[0] > limit:
+            return args[0], lambda: family_graph(text), labeling
+        args = [random_gadget_spec(name.removeprefix("gadget_"), *args)]
+    return order(*args), lambda: build(*args), labeling

@@ -45,11 +45,14 @@ While k > 0 and some set of size k - 1 forces (the first hit of `_hits`
 within n - k + 1 rounds), that set is pruned in turn and k falls to its
 size. So only size Z- - 1 is found empty, with no batch where its floor
 proves it. skew_zero_forcing_number stops there, and min_propagation_time
-after `_least` at Z-(G) within n - Z- rounds. throttle is one loop over
-sizes k from Z-(G) while k is below the best value, budgeting size k to
-best - k rounds; the first best is n + 1 (V forces in 0 rounds, so
-th <= n). The least time at Z- is pt_minimum. Sizes that tie the best
-still count in per_k, while only a smaller value replaces the witness.
+after `_least` at Z-(G) within n - Z- rounds. One loop over sizes k from
+Z-(G), `_optimum`, gives th. It runs size k while k + 1 - slack is below
+the best value, budgeting it to best - k - 1 + slack rounds; the first best
+is n + slack (V forces in 0 rounds, so th <= n). With slack 0 a size runs
+only where it can beat the best, which is all th needs. throttle passes
+slack 1: sizes that tie the best still run and count in per_k, while only a
+smaller value replaces the witness, and the least time at Z- is
+pt_minimum.
 """
 
 from math import comb
@@ -330,19 +333,26 @@ def throttling_at_k(g: Graph, k: int) -> int | None:
     return None if hit is None else k + hit[0]
 
 
-def throttle(g: Graph) -> ThrottleResult:
-    """Globally optimal skew throttling with the canonical witness."""
+def _optimum(g, slack):
+    """(th, witness, per_k, Z-) from the size loop with a slack of 0 or 1
+    (module docstring). With slack 0 the witness is None where th = n, and
+    per_k holds no size that only ties the best."""
     z = skew_zero_forcing_number(g)
-    best, per_k = g.n + 1, {}
+    best, witness, per_k = g.n + slack, None, {}
     k = z
-    while k < best:
-        if hit := _least(g, k, best - k):
+    while k < best - 1 + slack:
+        if hit := _least(g, k, best - k - 1 + slack):
             pt, subset = hit
             per_k[k] = k + pt
             if k + pt < best:
                 best, witness = k + pt, subset
         k += 1
+    return best, witness, per_k, z
 
+
+def throttle(g: Graph) -> ThrottleResult:
+    """Globally optimal skew throttling with the canonical witness."""
+    best, witness, per_k, z = _optimum(g, 1)
     kw = len(witness)
     return ThrottleResult(
         th=best, witness=witness, k=kw, pt=best - kw,

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from szf.canon import _search, canonical_form, graph_classes
+from szf.canon import _search, canonical_form, graph_classes, labeled_classes
 from szf.families import SplitMix64, complete, complete_multipartite, cycle, hypercube
 from szf.graph import disjoint_union
 
@@ -81,6 +81,35 @@ def test_class_stream_is_pinned(n):
 @pytest.mark.parametrize("n", range(9))
 def test_class_weights_count_every_labeled_graph(n):
     assert sum(math.factorial(n) // aut for _, aut in cached_classes(n)) == 2 ** math.comb(n, 2)
+
+
+def test_labeled_stream_searches_nothing_of_its_last_order(monkeypatch):
+    # Only the kept children below order 8 are searched: 1307 searches,
+    # none of order 8, where graph_classes(8) makes 5659.
+    calls = []
+    monkeypatch.setattr("szf.canon._search", lambda rows, n: calls.append(n) or _search(rows, n))
+    assert sum(1 for _ in labeled_classes(8)) == 13348
+    assert len(calls) == 1307 and max(calls) == 7
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_labeled_weights_count_every_labeled_graph(n):
+    unit = math.lcm(*range(1, n + 1))
+    total = sum(weight for _, weight in labeled_classes(n))
+    assert total == unit << math.comb(n, 2)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_labeled_weights_of_a_class_add_up_to_its_copies(n):
+    # Each class has children in the stream, and their weights, in units of
+    # 1/lcm(1..n), add up to the class's n!/|Aut| labeled graphs.
+    unit = math.lcm(*range(1, n + 1))
+    grown = {}
+    for rows, weight in labeled_classes(n):
+        code = canonical_form(rows, n)[0]
+        grown[code] = grown.get(code, 0) + weight
+    assert grown == {canonical_form(rows, n)[0]: unit * math.factorial(n) // aut
+                     for rows, aut in cached_classes(n)}
 
 
 @pytest.mark.parametrize("n", range(1, 6))

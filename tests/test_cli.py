@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import szf.cli
-from szf.canon import graph_classes
+from szf.canon import labeled_classes
 from szf.cli import CAMPAIGNS, _all_graphs_stats, _corona_base_graph, _formula_row, main
 from szf.families import (
-    _FAMILIES, corona_k1, corona_k2, cycle, family_graph, friendship, h_graph,
+    _FAMILIES, corona_k1, corona_k2, cycle, family_graph, friendship, gadget_family, h_graph,
+    random_gadget_spec,
 )
 from szf.formats import format_edge_list, from_graph6, parse_edge_list, to_graph6
 from szf.forcing import is_skew_forcing_set, propagate
@@ -365,6 +366,22 @@ def test_family_output_reads_back_as_compute_input(tmp_path, capsys, spec, fmt):
     assert (code, out) == run_cli(capsys, "compute", "--family", spec)[:2]
 
 
+def test_family_draws_a_gadget_spec_once(capsys, monkeypatch):
+    # The order guard, the build and the labeling note read one draw.
+    draws = []
+
+    def spy(*spec_args):
+        draws.append(spec_args)
+        return random_gadget_spec(*spec_args)
+
+    monkeypatch.setattr("szf.families.random_gadget_spec", spy)
+    code, out, err = run_cli(capsys, "family", "gadget_cycle:1000,1", "--emit", "edgelist")
+    g = gadget_family(random_gadget_spec("cycle", 1000, 1))
+    assert (code, err) == (0, "") and draws == [("cycle", 1000, 1)]
+    assert out == (f"# family=gadget_cycle:1000,1 n={g.n} labeling: base vertices 0..L-1 "
+                   f"first, gadget pairs appended\n" + format_edge_list(g))
+
+
 @pytest.mark.parametrize("emit", ["graph6", "edgelist"])
 def test_family_order_above_graph6_is_refused_before_the_build(capsys, monkeypatch, emit):
     def spy(order, edges):
@@ -522,7 +539,7 @@ def test_verify_output_path_is_opened_before_any_instance_runs(capsys, monkeypat
     def spy(n):
         raise AssertionError("the campaign ran")
 
-    monkeypatch.setattr(szf.cli, "graph_classes", spy)
+    monkeypatch.setattr(szf.cli, "labeled_classes", spy)
     code, out, err = run_cli(capsys, "verify", "--campaign", "extremes",
                              "--output", str(tmp_path / "missing" / "x.csv"))
     assert (code, out) == (2, "") and err.startswith("error: [Errno 2] No such file")
@@ -622,7 +639,7 @@ def test_extremes_classes_and_labeled_loop_catch_the_same_broken_rule(monkeypatc
 
 
 def test_extremes_row_raises_when_the_classes_miss_a_labeled_graph(monkeypatch):
-    monkeypatch.setattr(szf.cli, "graph_classes", lambda n: list(graph_classes(n))[1:])
+    monkeypatch.setattr(szf.cli, "labeled_classes", lambda n: list(labeled_classes(n))[1:])
     with pytest.raises(RuntimeError, match="order 4"):
         _all_graphs_stats(4)
 

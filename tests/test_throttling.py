@@ -18,7 +18,7 @@ from szf.canon import graph_classes
 from szf.forcing import propagate
 from szf.graph import disjoint_union, from_edge_list
 from szf.throttling import (
-    LANE_CAP, ThrottleResult, _batches, _first_completion, _hits, _lane_words, _least,
+    LANE_CAP, ThrottleResult, _batches, _first_completion, _hits, _lane_words, _least, _optimum,
     min_propagation_time, skew_zero_forcing_number, throttle, throttle_with_bound,
     throttling_at_k,
 )
@@ -488,10 +488,40 @@ def test_only_hits_walks_the_kernel_batches():
     for fn in (_first_completion, _hits, _least):
         limit = list(inspect.signature(fn).parameters.values())[-1]
         assert limit.name in ("budget", "limit") and limit.default is inspect.Parameter.empty
-    # throttle runs every size, Z- included, through one call of _least.
-    throttle_def = next(node for node in tree.body
-                        if isinstance(node, ast.FunctionDef) and node.name == "throttle")
-    assert sum(isinstance(x, ast.Name) and x.id == "_least" for x in ast.walk(throttle_def)) == 1
+    # One size loop, which throttle and the th-only rows share, runs every
+    # size, Z- included, through one call of _least.
+    loops = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert sum(isinstance(x, ast.Name) and x.id == "_least"
+               for x in ast.walk(loops["_optimum"])) == 1
+    assert any(isinstance(x, ast.Name) and x.id == "_optimum"
+               for x in ast.walk(loops["throttle"]))
+
+
+def strict_agrees_with_throttle(g):
+    """The size loop without ties (slack 0) gives throttle's th, Z- and
+    witness; it has no witness only where th = n."""
+    r = throttle(g)
+    best, witness, _, z = _optimum(g, 0)
+    assert (best, z) == (r.th, r.z_minus), g
+    assert witness == (None if r.th == g.n else r.witness), g
+
+
+def test_strict_size_loop_matches_throttle_on_every_class_to_order_7():
+    for n in range(8):
+        for rows, _ in graph_classes(n):
+            strict_agrees_with_throttle(from_edge_list(
+                n, [(u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1]))
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_strict_size_loop_matches_throttle_on_random_graphs(n):
+    for seed in range(12):
+        strict_agrees_with_throttle(random_graph(n, 50 * n + seed, percent=15 + 5 * seed))
+
+
+@pytest.mark.parametrize("spec", ["star:20", "empty:5", "complete:6", "gadget_cycle:13,20"])
+def test_strict_size_loop_matches_throttle_on_families(spec):
+    strict_agrees_with_throttle(family_graph(spec))
 
 
 def test_least_stops_after_a_hit_in_one_round(monkeypatch):
